@@ -7,20 +7,15 @@
 //
 // Usage: bench_micro [--threads N] [--repeat R] [--sizes a,b,...]
 //                    [--engine-max-exp E] [--shards K]
-//                    [--substrate inline|sharded|loopback|pinned]
 //                    [--json PATH] [--no-json]
 //
 // --engine-max-exp caps the message-engine size ramp at n = 2^E (default
-// 22; CI passes 16 so the gate stays fast while local runs measure the
-// full memory-bound regime). --shards sets the partition count of the
-// engine/v3-sharded/* rows (default 4) — those rows run the same ramp
-// through the partitioned substrate and surface its halo traffic
-// (cross_shard_msgs, halo_bytes) next to the single-slab v3 rows, so the
-// barrier overhead is measured against the inline path at every size.
-// --substrate swaps the transport behind those same rows (labels stay
-// engine/v3-sharded/*, so gates compare like against like); the
-// engine/v3-pinned/* rows always run the pinned multi-pool backend at the
-// same shard count, from n = 2^14 up.
+// 22; CI passes 14 so the gate stays fast while local runs measure the
+// full memory-bound regime). --shards sets the shard count of the
+// engine/v3-pinned/* rows (default 4): from n = 2^14 up they run the same
+// ramp through the pinned worker-team executor and surface its
+// cross-shard traffic (cross_shard_msgs, halo_bytes) next to the inline
+// engine/v3/* rows.
 //
 // Wall-clock results are written machine-readably to BENCH_micro.json
 // (pair, n, rounds, wall_ns, threads) so the perf trajectory accumulates
@@ -55,9 +50,7 @@
 #include "store/pg.hpp"
 #include "support/parse.hpp"
 #include "local/engine.hpp"
-#include "local/engine_substrate.hpp"
 #include "local/message_engine.hpp"
-#include "local/message_engine_v1.hpp"
 #include "support/table.hpp"
 
 using namespace padlock;
@@ -67,9 +60,8 @@ namespace {
 // The engine-bound ramp rule: one word per port per round, an add per
 // message, and a halting schedule that halves the frontier every round —
 // the Luby/propose-accept decay regime the active-set engine is built
-// for. The rule itself does almost no per-node work, so the v1/v2 row
-// pair isolates the executors (O(active) frontier + flat slabs vs all-n
-// rescans + per-node optional inboxes) rather than any algorithm.
+// for. The rule itself does almost no per-node work, so its rows measure
+// the executors rather than any algorithm.
 struct GeometricHalt {
   using Message = std::uint64_t;
   static constexpr bool kUniformSend = true;  // broadcast each round
@@ -99,8 +91,7 @@ struct GeometricHalt {
 // body exercises only the path its label names; bodies are self-contained
 // so the pool may run them concurrently.
 std::vector<ScenarioTask> substrate_scenarios(int engine_max_exp,
-                                              int sharded_shards,
-                                              SubstrateKind sharded_kind) {
+                                              int pinned_shards) {
   std::vector<ScenarioTask> tasks;
   // The strict/audit gather hot path through the flat-ball engine: the same
   // radius-2 rule in both accounting modes. The strict rows are what the
@@ -132,38 +123,21 @@ std::vector<ScenarioTask> substrate_scenarios(int engine_max_exp,
   }
   // The message-engine size ramp (cycle + regular + the real-graph file
   // sample): the engine-bound geometric-halt rule plus the two deepest
-  // migrated state machines (Luby, propose-accept matching) through
-  // engine v3 — the dispatch default — at n = 2^12..2^engine_max_exp,
-  // with explicit v2 rows at the anchor sizes {2^14, 2^18, 2^22} (the
-  // pair the bit-packed v2→v3 win is measured against) and the retired
-  // v1 executor's reference rows at 2^14. The geometric-halt pair is the
-  // engine gauge (its rule costs nothing, so the ratio is pure executor
-  // overhead); the luby/matching pairs show the end-to-end win, bounded
-  // by each algorithm's own per-node compute. Every engine row carries
-  // the edge count (feeding the derived edges_per_sec column) and the
-  // engine's resident footprint in its stats object.
-  // Each body pins both engine knobs thread-locally: the version under
-  // test and an explicit shard count (1 for the single-slab rows, the
-  // --shards value for v3-sharded), so rows measure their labeled
-  // configuration regardless of the ambient context the pool worker runs
-  // in. Engine stats land in the row via MessageEngineStats::surface, so
-  // sharded rows carry cross_shard_msgs / halo_bytes in the JSON.
+  // migrated state machines (Luby, propose-accept matching) through the
+  // inline executor at n = 2^12..2^engine_max_exp, and through the pinned
+  // executor at --shards from 2^14 (where shard-sized working sets leave
+  // cache) up. The geometric-halt rows are the engine gauge (the rule
+  // costs nothing, so they measure executor overhead); the luby/matching
+  // rows are bounded by each algorithm's own per-node compute. Every
+  // engine row carries the edge count (feeding the derived edges_per_sec
+  // column) and the engine's resident footprint in its stats object.
+  // Each body pins its shard count thread-locally (1 for the inline rows),
+  // so rows measure their labeled executor regardless of the ambient
+  // context the pool worker runs in.
   const auto engine_rows = [&tasks](const std::shared_ptr<const Graph>& g,
                                     const std::shared_ptr<IdMap>& ids,
-                                    const std::string& suffix,
-                                    MessageEngineVersion version, int shards,
-                                    SubstrateKind substrate) {
-    // Row labels name version + topology, not the transport: the sharded
-    // rows keep their engine/v3-sharded/* labels under --substrate
-    // loopback too, so regression and determinism gates compare the same
-    // label across substrate configurations. The pinned backend gets its
-    // own tag — it is a different executor (fused phases, SIMD step), not
-    // a transport swap.
-    const std::string tag =
-        version == MessageEngineVersion::kV2 ? "v2"
-        : shards <= 1                        ? "v3"
-        : substrate == SubstrateKind::kPinned ? "v3-pinned"
-                                              : "v3-sharded";
+                                    const std::string& suffix, int shards) {
+    const std::string tag = shards <= 1 ? "v3" : "v3-pinned";
     const auto fill = [g](SweepRow& row, const MessageEngineStats& es,
                           int rounds) {
       row.nodes = g->num_nodes();
@@ -172,10 +146,8 @@ std::vector<ScenarioTask> substrate_scenarios(int engine_max_exp,
       es.surface(row.stats);
     };
     tasks.push_back({"engine/" + tag + "/geometric-halt" + suffix,
-                     [g, version, shards, substrate, fill](SweepRow& row) {
-                       ScopedEngineVersion scope(version);
+                     [g, shards, fill](SweepRow& row) {
                        ScopedEngineShards shard_scope(shards);
-                       ScopedSubstrate substrate_scope(substrate);
                        GeometricHalt alg(g->num_nodes());
                        MessageEngineStats es;
                        const int rounds = run_message_rounds(
@@ -183,19 +155,15 @@ std::vector<ScenarioTask> substrate_scenarios(int engine_max_exp,
                        fill(row, es, rounds);
                      }});
     tasks.push_back({"engine/" + tag + "/luby" + suffix,
-                     [g, ids, version, shards, substrate, fill](SweepRow& row) {
-                       ScopedEngineVersion scope(version);
+                     [g, ids, shards, fill](SweepRow& row) {
                        ScopedEngineShards shard_scope(shards);
-                       ScopedSubstrate substrate_scope(substrate);
                        MessageEngineStats es;
                        const auto res = luby_mis(*g, *ids, 7, &es);
                        fill(row, es, res.rounds);
                      }});
     tasks.push_back({"engine/" + tag + "/matching" + suffix,
-                     [g, ids, version, shards, substrate, fill](SweepRow& row) {
-                       ScopedEngineVersion scope(version);
+                     [g, ids, shards, fill](SweepRow& row) {
                        ScopedEngineShards shard_scope(shards);
-                       ScopedSubstrate substrate_scope(substrate);
                        MessageEngineStats es;
                        const auto res = randomized_matching(*g, *ids, 7, &es);
                        fill(row, es, res.rounds);
@@ -208,50 +176,12 @@ std::vector<ScenarioTask> substrate_scenarios(int engine_max_exp,
       const auto ids = std::make_shared<IdMap>(shuffled_ids(*g, 5));
       const std::string suffix =
           "/" + std::string(family) + "/n=" + std::to_string(n);
-      engine_rows(g, ids, suffix, MessageEngineVersion::kV3, 1, sharded_kind);
-      engine_rows(g, ids, suffix, MessageEngineVersion::kV3, sharded_shards,
-                  sharded_kind);
-      // The pinned backend's ramp starts where shard-sized working sets
-      // leave cache (2^14) and runs to the top; same shard count as the
-      // v3-sharded rows, so the v3-pinned/v3-sharded pair at equal n
-      // isolates fused phases + SIMD + pinning against pool-joined phases.
-      if (exp >= 14) {
-        engine_rows(g, ids, suffix, MessageEngineVersion::kV3, sharded_shards,
-                    SubstrateKind::kPinned);
-      }
-      if (exp == 14 || exp == 18 || exp == 22)
-        engine_rows(g, ids, suffix, MessageEngineVersion::kV2, 1,
-                    sharded_kind);
-      if (exp == 14) {
-        tasks.push_back({"engine/v1/geometric-halt" + suffix,
-                         [g](SweepRow& row) {
-                           GeometricHalt alg(g->num_nodes());
-                           row.rounds = run_message_rounds_v1(
-                               *g, alg, static_cast<std::int64_t>(64));
-                           row.nodes = g->num_nodes();
-                           row.edges = g->num_edges();
-                         }});
-        tasks.push_back({"engine/v1/luby" + suffix,
-                         [g, ids](SweepRow& row) {
-                           const auto res = luby_mis_v1(*g, *ids, 7);
-                           row.nodes = g->num_nodes();
-                           row.edges = g->num_edges();
-                           row.rounds = res.rounds;
-                         }});
-        tasks.push_back({"engine/v1/matching" + suffix,
-                         [g, ids](SweepRow& row) {
-                           const auto res =
-                               randomized_matching_v1(*g, *ids, 7);
-                           row.nodes = g->num_nodes();
-                           row.edges = g->num_edges();
-                           row.rounds = res.rounds;
-                         }});
-      }
+      engine_rows(g, ids, suffix, 1);
+      if (exp >= 14) engine_rows(g, ids, suffix, pinned_shards);
     }
   }
   // The same three rules on the committed real-graph sample (skewed
-  // degrees, no synthetic regularity) — both engines, so the v2/v3 pair
-  // exists for a file: family too.
+  // degrees, no synthetic regularity), through both executors.
   {
     const std::string sample = "tests/data/p2p-sample.txt";
     if (std::filesystem::exists(sample)) {
@@ -260,12 +190,8 @@ std::vector<ScenarioTask> substrate_scenarios(int engine_max_exp,
       const auto ids = std::make_shared<IdMap>(shuffled_ids(*g, 5));
       const std::string suffix =
           "/p2p-sample/n=" + std::to_string(g->num_nodes());
-      engine_rows(g, ids, suffix, MessageEngineVersion::kV3, 1, sharded_kind);
-      engine_rows(g, ids, suffix, MessageEngineVersion::kV3, sharded_shards,
-                  sharded_kind);
-      engine_rows(g, ids, suffix, MessageEngineVersion::kV3, sharded_shards,
-                  SubstrateKind::kPinned);
-      engine_rows(g, ids, suffix, MessageEngineVersion::kV2, 1, sharded_kind);
+      engine_rows(g, ids, suffix, 1);
+      engine_rows(g, ids, suffix, pinned_shards);
     }
   }
   for (const std::size_t n : {std::size_t{1} << 10, std::size_t{1} << 14}) {
@@ -440,8 +366,7 @@ int main(int argc, char** argv) {
   int threads = 0;  // 0 = hardware concurrency
   int repeat = 3;
   int engine_max_exp = 22;
-  int sharded_shards = 4;
-  SubstrateKind sharded_kind = SubstrateKind::kSharded;
+  int pinned_shards = 4;
   std::vector<std::size_t> sizes{std::size_t{1} << 10};
   std::string json_path = "BENCH_micro.json";
   for (int i = 1; i < argc; ++i) {
@@ -460,22 +385,8 @@ int main(int argc, char** argv) {
         return 2;
     }
     else if (arg == "--shards") {
-      if (!parse_int_opt("--shards", next(), 1, 65535, &sharded_shards))
+      if (!parse_int_opt("--shards", next(), 1, 65535, &pinned_shards))
         return 2;
-    }
-    else if (arg == "--substrate") {
-      // Strict like every other knob: an unknown name is a usage error,
-      // never a silent fall-through to the default backend.
-      const char* name = next();
-      const std::optional<SubstrateKind> kind = substrate_from_name(name);
-      if (!kind) {
-        std::fprintf(stderr,
-                     "bench_micro: --substrate expects "
-                     "inline|sharded|loopback|pinned, got '%s'\n",
-                     name);
-        return 2;
-      }
-      sharded_kind = *kind;
     }
     else if (arg == "--json") json_path = next();
     else if (arg == "--no-json") json_path.clear();
@@ -498,7 +409,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: bench_micro [--threads N] [--repeat R] "
                    "[--sizes a,b,...] [--engine-max-exp E] [--shards K] "
-                   "[--substrate inline|sharded|loopback|pinned] "
                    "[--json PATH] [--no-json]\n");
       return 2;
     }
@@ -531,8 +441,7 @@ int main(int argc, char** argv) {
   const SweepOutcome baseline = run_batch(small);
 
   const SweepOutcome substrate = run_scenarios(
-      substrate_scenarios(engine_max_exp, sharded_shards, sharded_kind),
-      repeat);
+      substrate_scenarios(engine_max_exp, pinned_shards), repeat);
 
   print_rows("registry pairs (solve + verify, run_batch)", runners);
   print_rows("linear baselines", baseline);

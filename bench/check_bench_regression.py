@@ -136,16 +136,14 @@ def self_test():
     _, regs = find_regressions(cur, base, 0.25, 1_000_000)
     check("added-columns-ignored", regs == [])
 
-    # The pinned-substrate columns: a top-level "substrate" key on the
-    # sweep object and the pinned gauges in a row's stats are ignored the
-    # same way — gating never requires a baseline refresh for them.
+    # The pinned executor's gauges in a row's stats are ignored the same
+    # way — gating never requires a baseline refresh for them.
     doc = _doc([_row("p", 10_000_000,
                      stats={"pinned_teams": 4, "barrier_ns": 12_345,
                             "numa_local_bytes": 1 << 20}),
                 _row("q", 10_000_000)])
-    doc["substrate"] = "pinned"
     _, regs = find_regressions(index_rows(doc, "cur"), base, 0.25, 1_000_000)
-    check("substrate-columns-ignored", regs == [])
+    check("pinned-columns-ignored", regs == [])
 
     # Rows below the noise floor never gate.
     tiny_base = index_rows(_doc([_row("p", 500), _row("q", 10_000_000)]),

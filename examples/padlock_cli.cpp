@@ -5,21 +5,18 @@
 //   padlock_cli list     [--problem <name>]
 //   padlock_cli run <problem> <algo> --graph <family> [--nodes N]
 //                  [--degree D] [--seed S] [--ids <strategy>] [--no-check]
-//                  [--threads T] [--repeat R] [--shards K] [--engine v3|v2]
-//                  [--substrate inline|sharded|loopback|pinned]
+//                  [--threads T] [--repeat R] [--shards K]
+//                  [--max-violations V]
 //       families:   build::family_names() — path cycle tree torus regular
 //                   multigraph high-girth bounded (+ cubic, cubic-simple)
 //       strategies: sequential shuffled sparse adversarial
-//       --shards K runs the round engine over K partitioned shards with
-//       halo exchange at round barriers (bit-identical to K=1; see
-//       docs/API.md "Execution substrate"); --engine selects the round
-//       executor (v3 default, v2 = the kept oracle); --substrate picks the
-//       halo-exchange backend (sharded default; pinned = affinity-pinned
-//       worker teams with fused phases, docs/API.md "Pinned substrate")
+//       --shards K > 1 runs the round engine on the pinned executor: K
+//       word-aligned shards owned by affinity-pinned worker teams with one
+//       barrier per round (bit-identical to K = 1, the inline executor;
+//       see docs/API.md "Round engine")
 //   padlock_cli sweep    [--pairs p/a,p/a|all] [--family f1,f2] [--sizes
 //                  a,b,c] [--degree D] [--seed S] [--repeat R] [--threads T]
-//                  [--shards K] [--engine v3|v2] [--substrate <name>]
-//                  [--no-check] [--no-cache] [--json]
+//                  [--shards K] [--no-check] [--no-cache] [--json]
 //       the batched execution plan: pairs × families × sizes through the
 //       thread pool (core/runner.hpp run_batch). The graph menu resolves
 //       through the sweep-wide GraphCache unless --no-cache builds every
@@ -43,9 +40,12 @@
 //       SIGINT/SIGTERM or a {"op": "shutdown"} request, draining in-flight
 //       work first.
 //
-// Every numeric option is parsed strictly (support/parse.hpp): trailing
-// garbage ("--nodes 16k"), out-of-range values, and negative counts are
-// usage errors (exit 2), never silent truncation to 16 or 0.
+// Every subcommand accepts exactly the options listed above: an unknown
+// option ("--n 64" for --nodes, a removed flag) or a stray argument is a
+// usage error (exit 2), never a silently ignored knob. Every numeric
+// option is parsed strictly (support/parse.hpp): trailing garbage
+// ("--nodes 16k"), out-of-range values, and negative counts are usage
+// errors too, never silent truncation to 16 or 0.
 //
 // The gadget/padding tooling (unchanged):
 //   padlock_cli gadget   --delta 3 --height 4 [--fault <name>] [--dot]
@@ -119,11 +119,45 @@ struct Args {
   }
 };
 
-Args parse(int argc, char** argv, int first) {
+// Each subcommand's accepted options, without the leading "--".
+const std::map<std::string, std::vector<std::string_view>>& option_lists() {
+  static const std::map<std::string, std::vector<std::string_view>> lists = {
+      {"list", {"problem"}},
+      {"run",
+       {"graph", "nodes", "degree", "seed", "ids", "no-check", "threads",
+        "repeat", "shards", "max-violations"}},
+      {"sweep",
+       {"pairs", "family", "sizes", "degree", "seed", "repeat", "threads",
+        "shards", "no-check", "no-cache", "json"}},
+      {"graph", {"in", "out", "keep-self-loops", "keep-duplicates"}},
+      {"serve",
+       {"port", "socket", "host", "threads", "max-in-flight", "queue-limit",
+        "max-connections", "max-request-bytes", "max-nodes"}},
+      {"gadget", {"delta", "height", "fault", "seed", "dot"}},
+      {"pad", {"base-nodes", "delta", "height", "seed", "dot", "dump"}},
+      {"solve", {"levels", "base-nodes", "rand", "seed"}},
+      {"verify", {}},
+      {"export", {"kind", "nodes", "seed", "dot"}},
+  };
+  return lists;
+}
+
+// Parses argv[first..] as --key [value] pairs of subcommand `cmd`; anything
+// outside option_lists().at(cmd) throws UsageError.
+Args parse(int argc, char** argv, int first, const std::string& cmd) {
+  const std::vector<std::string_view>& accepted = option_lists().at(cmd);
   Args a;
   for (int i = first; i < argc; ++i) {
     std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
+    if (key.rfind("--", 0) != 0) {
+      throw UsageError(cmd + ": unexpected argument '" + key + "'");
+    }
+    if (std::find(accepted.begin(), accepted.end(),
+                  std::string_view(key).substr(2)) == accepted.end()) {
+      std::string msg = cmd + ": unknown option '" + key + "'; accepted:";
+      for (const std::string_view k : accepted) msg += " --" + std::string(k);
+      throw UsageError(msg);
+    }
     std::string val = "1";
     // Anything but another --option is the value — including negative
     // numbers, so "--threads -2" reaches num()'s range check and is
@@ -184,48 +218,15 @@ int cmd_list(const Args& a) {
   return 0;
 }
 
-// Shared validation of the engine knobs (`run` applies them to the process
-// context; `sweep` passes them through the plan, which re-validates).
-bool parse_engine_knobs(const Args& a, const char* cmd, std::string* engine,
-                        int* shards, std::string* substrate) {
-  *engine = a.str("engine", "");
-  if (!engine->empty() && *engine != "v3" && *engine != "v2") {
-    std::fprintf(stderr, "padlock_cli %s: --engine expects v3|v2, got '%s'\n",
-                 cmd, engine->c_str());
-    return false;
-  }
-  *shards = static_cast<int>(a.num("shards", 0, 1, 65535));
-  if (a.flag("shards") && *shards < 1) {
-    std::fprintf(stderr,
-                 "padlock_cli %s: --shards expects a positive shard count, "
-                 "got '%s'\n",
-                 cmd, a.str("shards", "").c_str());
-    return false;
-  }
-  *substrate = a.str("substrate", "");
-  if (!substrate->empty() && !substrate_from_name(*substrate)) {
-    std::fprintf(stderr,
-                 "padlock_cli %s: --substrate expects "
-                 "inline|sharded|loopback|pinned, got '%s'\n",
-                 cmd, substrate->c_str());
-    return false;
-  }
-  return true;
-}
-
 int cmd_run(const std::string& problem, const std::string& algo,
             const Args& a) {
   const auto n = static_cast<std::size_t>(a.num("nodes", 64, 1, 1LL << 26));
   const int degree = static_cast<int>(a.num("degree", 3, 0, 1 << 20));
   const int repeat = static_cast<int>(a.num("repeat", 1, 1, 1000000));
   exec_context().threads = static_cast<int>(a.num("threads", 1, 0, 65536));
-  std::string engine;
-  int shards = 0;
-  std::string substrate;
-  if (!parse_engine_knobs(a, "run", &engine, &shards, &substrate)) return 2;
-  if (shards >= 1) exec_context().shards = shards;
-  if (engine == "v2") message_engine_version() = MessageEngineVersion::kV2;
-  if (!substrate.empty()) engine_substrate() = *substrate_from_name(substrate);
+  if (a.flag("shards")) {
+    exec_context().shards = static_cast<int>(a.num("shards", 1, 1, 65535));
+  }
   RunOptions opts;
   opts.seed = static_cast<std::uint64_t>(a.num("seed", 1, 0, (1LL << 62)));
   opts.ids = id_strategy_from_name(a.str("ids", "shuffled"));
@@ -253,9 +254,9 @@ int cmd_run(const std::string& problem, const std::string& algo,
               problem.c_str(), algo.c_str(),
               a.str("graph", "cubic-simple").c_str(), g.num_nodes(),
               g.num_edges(), g.max_degree());
-  std::printf("engine: %s, shards: %d, substrate: %s\n",
-              engine.empty() ? "v3" : engine.c_str(),
-              engine_effective_shards(), substrate_name(engine_substrate()));
+  const int shards = engine_effective_shards();
+  std::printf("engine: %s, shards: %d\n", shards > 1 ? "pinned" : "inline",
+              shards);
   std::printf("rounds: %d\n", outcome.rounds.rounds);
   if (repeat > 1) {
     std::printf("wall:   min %.1f us, median %.1f us over %d runs "
@@ -319,10 +320,7 @@ int cmd_sweep(const Args& a) {
   plan.repeat = static_cast<int>(a.num("repeat", 1, 1, 1000000));
   plan.threads = static_cast<int>(a.num("threads", 0, 0, 65536));
   plan.use_cache = !a.flag("no-cache");
-  if (!parse_engine_knobs(a, "sweep", &plan.engine, &plan.shards,
-                          &plan.substrate)) {
-    return 2;
-  }
+  plan.shards = static_cast<int>(a.num("shards", 0, 1, 65535));
 
   const SweepOutcome outcome = run_batch(plan);
   if (a.flag("json")) {
@@ -343,9 +341,9 @@ int cmd_sweep(const Args& a) {
                ran ? fmt(row.wall_ns_median / 1e3, 1) : "-"});
   }
   t.print();
-  std::printf("%zu rows in %.1f ms (threads=%d, engine=%s, shards=%d, %s)%s\n",
+  std::printf("%zu rows in %.1f ms (threads=%d, shards=%d, %s)%s\n",
               outcome.rows.size(), outcome.wall_ns / 1e6, outcome.threads,
-              outcome.engine.c_str(), outcome.shards,
+              outcome.shards,
               cache_note(outcome).c_str(),
               outcome.all_ok() ? "" : " — FAILURES");
   return outcome.all_ok() ? 0 : 1;
@@ -617,8 +615,9 @@ int cmd_serve(const Args& a) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
+  if (option_lists().count(cmd) == 0) return usage();
   try {
-    if (cmd == "list") return cmd_list(parse(argc, argv, 2));
+    if (cmd == "list") return cmd_list(parse(argc, argv, 2, cmd));
     if (cmd == "run") {
       if (argc < 4 || argv[2][0] == '-' || argv[3][0] == '-') {
         std::fprintf(stderr,
@@ -626,7 +625,7 @@ int main(int argc, char** argv) {
                      "(padlock_cli list shows the registered pairs)\n");
         return 2;
       }
-      return cmd_run(argv[2], argv[3], parse(argc, argv, 4));
+      return cmd_run(argv[2], argv[3], parse(argc, argv, 4, cmd));
     }
     if (cmd == "graph") {
       if (argc < 3 || argv[2][0] == '-') {
@@ -635,9 +634,9 @@ int main(int argc, char** argv) {
                      "[--out <path.pg>]\n");
         return 2;
       }
-      return cmd_graph(argv[2], parse(argc, argv, 3));
+      return cmd_graph(argv[2], parse(argc, argv, 3, cmd));
     }
-    const Args a = parse(argc, argv, 2);
+    const Args a = parse(argc, argv, 2, cmd);
     if (cmd == "sweep") return cmd_sweep(a);
     if (cmd == "serve") return cmd_serve(a);
     if (cmd == "gadget") return cmd_gadget(a);

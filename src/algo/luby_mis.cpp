@@ -8,7 +8,6 @@
 
 #include "local/engine_bitset.hpp"
 #include "local/message_engine.hpp"
-#include "local/message_engine_v1.hpp"
 #include "support/rng.hpp"
 
 namespace padlock {
@@ -61,8 +60,8 @@ struct LubyAlg {
     return Message{decided.test(v) && in_set.test(v) ? 1u : 0u};
   }
 
-  // Inbox-shape agnostic (engine v1 optional spans and the v2/v3 slab
-  // views all satisfy the optional-like per-port protocol).
+  // Inbox-shape agnostic (the inline PackedInbox and the pinned
+  // DenseInbox both satisfy the optional-like per-port protocol).
   template <class Inbox>
   void step(NodeId v, const Inbox& inbox, int round) {
     if (decided.test(v)) return;
@@ -123,13 +122,6 @@ MisResult luby_mis(const Graph& g, const IdMap& ids, std::uint64_t seed,
   check_luby_preconditions(g, ids);
   LubyAlg alg(g, ids, seed);
   const int rounds = run_message_rounds(g, alg, luby_round_budget(g), stats);
-  return collect(g, alg, rounds);
-}
-
-MisResult luby_mis_v1(const Graph& g, const IdMap& ids, std::uint64_t seed) {
-  check_luby_preconditions(g, ids);
-  LubyAlg alg(g, ids, seed);
-  const int rounds = run_message_rounds_v1(g, alg, luby_round_budget(g));
   return collect(g, alg, rounds);
 }
 

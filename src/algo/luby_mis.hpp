@@ -25,11 +25,6 @@ struct MisResult {
 MisResult luby_mis(const Graph& g, const IdMap& ids, std::uint64_t seed,
                    MessageEngineStats* stats = nullptr);
 
-/// Test/bench oracle: the same Luby state machine executed by the retired
-/// v1 engine (local/message_engine_v1.hpp). Bit-identical to luby_mis by
-/// contract — tests pin the equality, bench_micro measures the v1→v2 win.
-MisResult luby_mis_v1(const Graph& g, const IdMap& ids, std::uint64_t seed);
-
 class AlgorithmRegistry;
 
 /// Registers mis/luby behind the unified runner API.

@@ -10,7 +10,6 @@
 
 #include "local/engine_bitset.hpp"
 #include "local/message_engine.hpp"
-#include "local/message_engine_v1.hpp"
 #include "support/rng.hpp"
 
 namespace padlock {
@@ -182,9 +181,6 @@ struct ProposeAcceptAlg {
 
   template <class Inbox>
   void step(NodeId v, const Inbox& inbox, int round) {
-    // The v2/v3 engines only step active nodes; the guard keeps the v1
-    // oracle (which steps everyone) equivalent.
-    if (halted.test(v)) return;
     // One pass over the inbox per phase: matched neighbors' one-shot
     // announcements prune ports, and the phase's own message is picked up
     // in the same scan (a port carries at most one message per round).
@@ -340,9 +336,6 @@ struct ColorGreedyAlg {
 
   template <class Inbox>
   void step(NodeId v, const Inbox& inbox, int round) {
-    // The v2/v3 engines only step active nodes; the guard keeps the v1
-    // oracle (which steps everyone) equivalent.
-    if (halted.test(v)) return;
     // One pass per phase: announcements prune ports, the phase's own
     // message rides the same scan.
     const int ph = phase(round);
@@ -421,17 +414,6 @@ MatchingResult randomized_matching(const Graph& g, const IdMap& ids,
   ProposeAcceptAlg alg(g, ids, seed);
   const int rounds =
       run_message_rounds(g, alg, propose_accept_budget(g), stats);
-  return MatchingResult{collect_matching(g, alg), rounds};
-}
-
-MatchingResult randomized_matching_v1(const Graph& g, const IdMap& ids,
-                                      std::uint64_t seed) {
-  PADLOCK_REQUIRE(ids_valid(g, ids));
-  ProposeAcceptAlg alg(g, ids, seed);
-  // The v1 executor has no drain/retire notion: it keeps invoking matched
-  // and retired nodes, whose repeated announce/confirm sends are idempotent
-  // for every receiver — so the outputs still agree bit for bit.
-  const int rounds = run_message_rounds_v1(g, alg, propose_accept_budget(g));
   return MatchingResult{collect_matching(g, alg), rounds};
 }
 

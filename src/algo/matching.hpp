@@ -33,12 +33,6 @@ MatchingResult randomized_matching(const Graph& g, const IdMap& ids,
                                    std::uint64_t seed,
                                    MessageEngineStats* stats = nullptr);
 
-/// Test/bench oracle: the same propose/accept state machine executed by the
-/// retired v1 engine (local/message_engine_v1.hpp). Bit-identical output by
-/// contract; bench_micro measures the v1→v2 win on it.
-MatchingResult randomized_matching_v1(const Graph& g, const IdMap& ids,
-                                      std::uint64_t seed);
-
 MatchingResult matching_from_coloring(const Graph& g,
                                       const NodeMap<int>& colors,
                                       int num_colors,

@@ -32,8 +32,7 @@ IdMap make_ids(const Graph& g, IdStrategy strategy, std::uint64_t seed) {
 
 std::uint64_t default_id_space(const Graph& g, IdStrategy strategy) {
   const auto n = static_cast<std::uint64_t>(g.num_nodes());
-  if (strategy == IdStrategy::kSparse) return n * n * n;
-  return n;
+  return strategy == IdStrategy::kSparse ? sparse_id_space(n) : n;
 }
 
 }  // namespace
@@ -139,46 +138,28 @@ void fill_wall_stats(std::vector<std::uint64_t> times, SweepRow& row) {
 }
 
 // Sets exec_context().threads for the scope of one batch and restores it.
-// A batch nested inside a pool worker (a ScenarioTask body calling
-// run_batch) runs inline regardless, so the guard must not mutate the
-// global from that racy position.
+// threads == 0 leaves the global untouched — in both directions, so
+// concurrent batches that keep the ambient count (the serve executors)
+// never write it. A batch nested inside a pool worker (a ScenarioTask body
+// calling run_batch) runs inline regardless, so the guard must not mutate
+// the global from that racy position either.
 class ThreadsGuard {
  public:
-  explicit ThreadsGuard(int threads) : saved_(exec_context().threads) {
-    if (threads != 0 && !ThreadPool::on_worker_thread())
-      exec_context().threads = threads;
+  explicit ThreadsGuard(int threads)
+      : set_(threads != 0 && !ThreadPool::on_worker_thread()),
+        saved_(exec_context().threads) {
+    if (set_) exec_context().threads = threads;
   }
   ~ThreadsGuard() {
-    if (!ThreadPool::on_worker_thread()) exec_context().threads = saved_;
+    if (set_) exec_context().threads = saved_;
   }
+  ThreadsGuard(const ThreadsGuard&) = delete;
+  ThreadsGuard& operator=(const ThreadsGuard&) = delete;
 
  private:
+  bool set_;
   int saved_;
 };
-
-// The engine knobs are thread-local (pool workers must not race on them),
-// so a batch resolves them once on the coordinating thread and re-pins
-// them per row on whichever worker picks the row up.
-MessageEngineVersion resolve_engine(const std::string& name) {
-  if (name.empty()) return message_engine_version();
-  if (name == "v3") return MessageEngineVersion::kV3;
-  if (name == "v2") return MessageEngineVersion::kV2;
-  throw RegistryError("unknown engine '" + name + "'; expected v3|v2");
-}
-
-std::string_view engine_name(MessageEngineVersion v) {
-  return v == MessageEngineVersion::kV2 ? "v2" : "v3";
-}
-
-SubstrateKind resolve_substrate(const std::string& name) {
-  if (name.empty()) return engine_substrate();
-  const std::optional<SubstrateKind> kind = substrate_from_name(name);
-  if (!kind) {
-    throw RegistryError("unknown substrate '" + name +
-                        "'; expected inline|sharded|loopback|pinned");
-  }
-  return *kind;
-}
 
 }  // namespace
 
@@ -319,15 +300,11 @@ SweepOutcome run_batch(const ExecutionPlan& plan) {
   }
 
   ThreadsGuard guard(plan.threads);
-  const MessageEngineVersion engine = resolve_engine(plan.engine);
-  const SubstrateKind substrate = resolve_substrate(plan.substrate);
   const int shards =
       plan.shards >= 1 ? plan.shards : engine_effective_shards();
   SweepOutcome outcome;
   outcome.threads = resolved_threads();
-  outcome.engine = engine_name(engine);
   outcome.shards = shards;
-  outcome.substrate = substrate_name(substrate);
   const auto batch_t0 = Clock::now();
 
   // Resolve the instance menu once; every pair shares the same immutable
@@ -402,11 +379,9 @@ SweepOutcome run_batch(const ExecutionPlan& plan) {
   outcome.rows.resize(pairs.size() * graphs.size());
   const auto faults = parallel_for_capture(
       0, outcome.rows.size(), 1, [&](std::size_t b, std::size_t e) {
-        // Per-chunk knob pins: rows execute on whichever worker drew the
-        // chunk, and thread_local defaults there would ignore the plan.
-        const ScopedEngineVersion engine_pin(engine);
+        // Per-chunk shard pin: rows execute on whichever worker drew the
+        // chunk, and the thread_local default there would ignore the plan.
         const ScopedEngineShards shards_pin(shards);
-        const ScopedSubstrate substrate_pin(substrate);
         for (std::size_t i = b; i < e; ++i) {
           const ResolvedPair& pair = pairs[i / graphs.size()];
           const std::size_t gi = i % graphs.size();
@@ -515,9 +490,7 @@ SweepOutcome run_scenarios(const std::vector<ScenarioTask>& scenarios,
   ThreadsGuard guard(threads);
   SweepOutcome outcome;
   outcome.threads = resolved_threads();
-  outcome.engine = engine_name(message_engine_version());
   outcome.shards = engine_effective_shards();
-  outcome.substrate = substrate_name(engine_substrate());
   const auto batch_t0 = Clock::now();
 
   outcome.rows.resize(scenarios.size());
@@ -645,10 +618,8 @@ std::string row_to_json(const SweepRow& row) {
 std::string to_json(const SweepOutcome& outcome) {
   std::ostringstream out;
   out << "{\"threads\": " << outcome.threads
-      << ", \"engine\": \"" << json_escape(outcome.engine)
-      << "\", \"shards\": " << outcome.shards
-      << ", \"substrate\": \"" << json_escape(outcome.substrate)
-      << "\", \"wall_ns\": " << outcome.wall_ns
+      << ", \"shards\": " << outcome.shards
+      << ", \"wall_ns\": " << outcome.wall_ns
       << ", \"cache\": " << (outcome.cached ? "true" : "false")
       << ", \"cache_hits\": " << outcome.cache_hits
       << ", \"cache_misses\": " << outcome.cache_misses << ", \"rows\": [";

@@ -104,25 +104,14 @@ struct ExecutionPlan {
   /// Worker threads for this batch: 0 = keep exec_context() as is,
   /// otherwise exec_context().threads is set (and restored) around the run.
   int threads = 0;
-  /// Engine shard count for every row of this batch (the partitioned
-  /// substrate, local/engine_substrate.hpp): 0 resolves the dispatching
-  /// thread's effective count (exec_context().shards or a scoped pin),
-  /// >= 1 forces it. Rows run on pool workers, so the resolved count is
-  /// re-pinned thread-locally per row — a batch is never split across
-  /// shard configurations. Rows are bit-identical for every value.
+  /// Engine shard count for every row of this batch: 0 resolves the
+  /// dispatching thread's effective count (exec_context().shards or a
+  /// scoped pin), 1 runs the inline executor, > 1 the pinned worker-team
+  /// executor (local/message_engine.hpp). Rows run on pool workers, so the
+  /// resolved count is re-pinned thread-locally per row — a batch is never
+  /// split across shard configurations. Rows are bit-identical for every
+  /// value.
   int shards = 0;
-  /// Round-engine version for every row: "" keeps the dispatching thread's
-  /// engine (normally v3), "v3"/"v2" force one. Propagated to the workers
-  /// per row like `shards`. Any other value is a malformed plan
-  /// (run_batch throws RegistryError).
-  std::string engine;
-  /// Halo-exchange substrate for every row (engine_substrate.hpp): "" keeps
-  /// the dispatching thread's substrate (normally sharded);
-  /// "inline"/"sharded"/"loopback"/"pinned" force one. Propagated per row
-  /// like `engine`; any other value throws RegistryError. Rows are
-  /// bit-identical for every substrate — this picks the transport, not the
-  /// result.
-  std::string substrate;
   /// Resolve the graph menu through the process-wide GraphCache
   /// (core/graph_cache.hpp): identical specs — within this plan or across
   /// earlier batches — share one immutable instance. false (`padlock_cli
@@ -198,12 +187,10 @@ struct WallStats {
 struct SweepOutcome {
   std::vector<SweepRow> rows;
   int threads = 1;              // resolved worker count the batch ran with
-  /// Execution provenance of the batch: the engine version and shard count
-  /// its rows ran with (run_scenarios records the ambient configuration;
-  /// bodies that pin their own knobs say so in their row labels).
-  std::string engine = "v3";
+  /// Execution provenance of the batch: the shard count its rows ran with
+  /// (run_scenarios records the ambient configuration; bodies that pin
+  /// their own shard count say so in their row labels).
   int shards = 1;
-  std::string substrate = "sharded";
   std::uint64_t wall_ns = 0;    // whole-batch wall clock
   /// Graph-cache accounting of this batch's menu resolution: a hit is a
   /// menu entry served without building (already cached, or a duplicate
@@ -266,9 +253,8 @@ SweepOutcome run_scenarios(const std::vector<ScenarioTask>& scenarios,
 /// sweep format written by `padlock_cli sweep --json` and bench_micro's
 /// BENCH_micro.json:
 ///
-///   {"threads": T, "engine": "v3", "shards": S, "substrate": "sharded",
-///    "wall_ns": W, "cache": true|false, "cache_hits": H,
-///    "cache_misses": M, "rows": [...]}
+///   {"threads": T, "shards": S, "wall_ns": W, "cache": true|false,
+///    "cache_hits": H, "cache_misses": M, "rows": [...]}
 ///
 /// Every row is emitted (skipped rows included, with "skipped": true), one
 /// object per row: problem, algo, family, nodes, edges, rounds, status, ok,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <utility>
 
 namespace padlock {
 namespace {
@@ -22,20 +21,15 @@ Partition Partition::build(const Graph& g, int shards) {
   const std::size_t slots = 2 * g.num_edges();
   const std::size_t num_words = (n + 63) / 64;
 
-  // Word-aligned shards: never more shards than frontier words (and the
-  // word→shard table is 16-bit).
+  // Word-aligned shards: never more shards than frontier words.
   std::size_t S = shards < 1 ? 1 : static_cast<std::size_t>(shards);
   S = std::min(S, std::max<std::size_t>(num_words, 1));
-  S = std::min<std::size_t>(S, 65535);
 
+  // Words distributed evenly (difference of floors keeps the split
+  // monotone and exhaustive), nodes and CSR ports following from the word
+  // boundaries.
   Partition part;
   part.shards_.resize(S);
-  part.word_shard_.assign(std::max<std::size_t>(num_words, 1), 0);
-
-  // Geometry: words distributed evenly (difference of floors keeps the
-  // split monotone and exhaustive), nodes and CSR ports following from the
-  // word boundaries.
-  std::vector<std::size_t> port_base(S + 1, slots);
   for (std::size_t s = 0; s < S; ++s) {
     Shard& sh = part.shards_[s];
     sh.word_begin = num_words * s / S;
@@ -45,78 +39,8 @@ Partition Partition::build(const Graph& g, int shards) {
     sh.port_base =
         sh.node_begin < n ? g.port_offset(sh.node_begin) : slots;
     sh.port_end = sh.node_end < n ? g.port_offset(sh.node_end) : slots;
-    port_base[s] = sh.port_base;
-    for (std::size_t w = sh.word_begin; w < sh.word_end; ++w)
-      part.word_shard_[w] = static_cast<std::uint16_t>(s);
   }
-
-  // Reader table. Pass 1 per shard: intra-shard ports translate directly
-  // to the peer's local out-slot; cross-shard ports collect their remote
-  // read targets, which — sorted by global slot — define the shard's halo
-  // mirror order (each target appears exactly once: ports pair up 1:1
-  // through the peer involution).
-  part.reader_slot_.resize(slots);
-  const std::uint32_t* peer = g.peer_port();
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> remote;  // (target, reader)
-  for (std::size_t s = 0; s < S; ++s) {
-    Shard& sh = part.shards_[s];
-    const std::size_t local = sh.port_end - sh.port_base;
-    remote.clear();
-    for (std::size_t i = sh.port_base; i < sh.port_end; ++i) {
-      const std::uint32_t j = peer[i];
-      if (j >= sh.port_base && j < sh.port_end) {
-        part.reader_slot_[i] = static_cast<std::uint32_t>(j - sh.port_base);
-      } else {
-        remote.emplace_back(j, static_cast<std::uint32_t>(i));
-      }
-    }
-    std::sort(remote.begin(), remote.end());
-    sh.mirror = remote.size();
-    part.cross_ports_ += static_cast<std::int64_t>(remote.size());
-    for (std::size_t k = 0; k < remote.size(); ++k)
-      part.reader_slot_[remote[k].second] =
-          static_cast<std::uint32_t>(local + k);
-  }
-
-  // Pass 2 per shard: the send side. A local slot j is cross-shard iff its
-  // reader (the owner of position peer[j]) lives elsewhere; the mirror
-  // index it must land in is what pass 1 already wrote at the reader's
-  // position. Ascending j keeps per-dest entries ascending, so one sort by
-  // dest yields the (dest, local_slot) order the exchange serializes in.
-  for (std::size_t s = 0; s < S; ++s) {
-    Shard& sh = part.shards_[s];
-    for (std::size_t j = sh.port_base; j < sh.port_end; ++j) {
-      const std::uint32_t i = peer[j];  // the reader's CSR position
-      if (i >= sh.port_base && i < sh.port_end) continue;
-      const std::size_t d = static_cast<std::size_t>(
-          std::upper_bound(port_base.begin(), port_base.begin() +
-                               static_cast<std::ptrdiff_t>(S),
-                           static_cast<std::size_t>(i)) -
-          port_base.begin()) - 1;
-      const std::size_t d_local =
-          part.shards_[d].port_end - part.shards_[d].port_base;
-      sh.halo_out.push_back(HaloEntry{
-          static_cast<std::uint32_t>(j - sh.port_base),
-          static_cast<std::uint32_t>(d),
-          part.reader_slot_[i] - static_cast<std::uint32_t>(d_local)});
-    }
-    std::stable_sort(sh.halo_out.begin(), sh.halo_out.end(),
-                     [](const HaloEntry& a, const HaloEntry& b) {
-                       return a.dest < b.dest;
-                     });
-  }
-
   return part;
-}
-
-std::int64_t Partition::bytes() const {
-  std::int64_t b = static_cast<std::int64_t>(
-      reader_slot_.size() * sizeof(std::uint32_t) +
-      word_shard_.size() * sizeof(std::uint16_t));
-  for (const Shard& sh : shards_)
-    b += static_cast<std::int64_t>(sizeof(Shard) +
-                                   sh.halo_out.size() * sizeof(HaloEntry));
-  return b;
 }
 
 PartitionCacheCounters partition_cache_counters() {

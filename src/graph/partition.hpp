@@ -1,39 +1,18 @@
-// Node-space partition of a port-numbered graph — the graph-layer half of
-// the sharded execution substrate (local/engine_substrate.hpp).
+// Node-space partition of a port-numbered graph — the shard geometry the
+// pinned round executor (local/engine_pinned.hpp) runs on.
 //
 // A Partition splits the node space into `num_shards()` *contiguous* shards
 // whose boundaries are aligned to 64-node frontier words, so every word of
-// the engine's active/drain bitsets belongs to exactly one shard and pooled
-// word-chunked phases never split a shard across a word. Because nodes are
-// contiguous and the graph's port slab is CSR-ordered, each shard also owns
-// one contiguous range of CSR port positions — its *local slots* — which is
-// what lets the partitioned engine keep v3's sender-contiguous slab layout
-// per shard.
+// the engine's active/drain bitsets belongs to exactly one shard and one
+// worker. Because nodes are contiguous and the graph's port slab is
+// CSR-ordered, each shard also owns one contiguous range of CSR port
+// positions [port_base, port_end): a port slot i of shard s is read across
+// the cut iff Graph::peer_port()[i] lies outside that range.
 //
-// On top of the node split the Partition classifies every CSR port as
-// intra- or cross-shard and precomputes the two tables the engine runs on:
-//
-//  * reader_slot(): for every CSR position i (a port of reader v in shard
-//    s), the index *within shard s's extended slab* where the message
-//    arriving on that port lives. The extended slab of a shard is
-//    [local slots | halo mirror]: intra-shard ports resolve to the peer's
-//    local out-slot (peer_port()[i] - port_base(s)); cross-shard ports
-//    resolve to a mirror slot past the local range, filled by the halo
-//    exchange at the round barrier. The engine's PackedInbox therefore
-//    works unchanged — it just walks this table instead of the global
-//    peer-port table.
-//  * halo_out(s): the send side of the exchange — every local out-slot of
-//    shard s that some *other* shard reads, with the destination shard and
-//    the mirror index the payload must land in. Each cross-shard slot has
-//    exactly one reader (ports pair up 1:1 through the peer-port
-//    involution), so entries are unique; they are sorted by (dest,
-//    local_slot) so per-destination packets serialize in one deterministic
-//    ascending sweep.
-//
-// Determinism: all tables are pure functions of (graph, shard count). The
-// shard count is clamped to the number of frontier words (a shard smaller
-// than one word cannot be word-aligned), so tiny graphs degrade gracefully
-// to fewer — ultimately one — shard(s).
+// Determinism: the geometry is a pure function of (graph, shard count).
+// The shard count is clamped to the number of frontier words (a shard
+// smaller than one word cannot be word-aligned), so tiny graphs degrade
+// gracefully to fewer — ultimately one — shard(s).
 //
 // Caching: partitions are memoized per graph via Graph::partition(shards)
 // — a small per-graph store shared by all copies of the Graph (and thus by
@@ -52,20 +31,10 @@ namespace padlock {
 
 class Partition {
  public:
-  /// One cross-shard out-slot of a shard: the payload at `local_slot` (an
-  /// index into the shard's local slab range) must reach shard `dest` at
-  /// mirror position `remote_index` (an index into dest's halo mirror,
-  /// i.e. extended-slab index local_slots(dest) + remote_index).
-  struct HaloEntry {
-    std::uint32_t local_slot = 0;
-    std::uint32_t dest = 0;
-    std::uint32_t remote_index = 0;
-  };
-
   /// Per-shard geometry: nodes [node_begin, node_end), frontier words
-  /// [word_begin, word_end), CSR positions [port_base, port_end), plus the
-  /// halo tables. Empty shards (node_begin == node_end) are legal when the
-  /// requested count exceeds what the word alignment can fill evenly.
+  /// [word_begin, word_end), CSR positions [port_base, port_end). Empty
+  /// shards (node_begin == node_end) are legal when the requested count
+  /// exceeds what the word alignment can fill evenly.
   struct Shard {
     NodeId node_begin = 0;
     NodeId node_end = 0;
@@ -73,14 +42,12 @@ class Partition {
     std::size_t word_end = 0;
     std::size_t port_base = 0;
     std::size_t port_end = 0;
-    std::size_t mirror = 0;  // # cross-shard slots this shard *reads*
-    std::vector<HaloEntry> halo_out;  // sorted by (dest, local_slot)
   };
 
   Partition() = default;
 
-  /// Builds the partition tables for `shards` contiguous word-aligned
-  /// shards (clamped to [1, frontier words]; see file comment).
+  /// Splits g into `shards` contiguous word-aligned shards (clamped to
+  /// [1, frontier words]; see file comment).
   [[nodiscard]] static Partition build(const Graph& g, int shards);
 
   [[nodiscard]] int num_shards() const {
@@ -91,45 +58,13 @@ class Partition {
     return shards_[static_cast<std::size_t>(s)];
   }
 
-  /// Own CSR ports of shard s (the local half of its extended slab).
-  [[nodiscard]] std::size_t local_slots(int s) const {
-    const Shard& sh = shard(s);
-    return sh.port_end - sh.port_base;
+  /// Resident footprint, for stats surfacing.
+  [[nodiscard]] std::int64_t bytes() const {
+    return static_cast<std::int64_t>(shards_.size() * sizeof(Shard));
   }
-  /// Extended-slab size of shard s: local slots + halo mirror.
-  [[nodiscard]] std::size_t ext_slots(int s) const {
-    const Shard& sh = shard(s);
-    return sh.port_end - sh.port_base + sh.mirror;
-  }
-
-  /// The reader translation table (2·edges entries): global CSR position →
-  /// extended-slab index within the *reading* node's shard. See file
-  /// comment.
-  [[nodiscard]] const std::uint32_t* reader_slot() const {
-    return reader_slot_.data();
-  }
-
-  /// Owning shard of a frontier word / node (word-aligned boundaries make
-  /// both one table lookup).
-  [[nodiscard]] int shard_of_word(std::size_t w) const {
-    return static_cast<int>(word_shard_[w]);
-  }
-  [[nodiscard]] int shard_of_node(NodeId v) const {
-    return shard_of_word(static_cast<std::size_t>(v) / 64);
-  }
-
-  /// Total cross-shard ports (= Σ mirror = Σ halo_out sizes): the cut size
-  /// in half-edges, the upper bound of per-round halo traffic.
-  [[nodiscard]] std::int64_t cross_ports() const { return cross_ports_; }
-
-  /// Resident footprint of the precomputed tables, for stats surfacing.
-  [[nodiscard]] std::int64_t bytes() const;
 
  private:
   std::vector<Shard> shards_;
-  std::vector<std::uint32_t> reader_slot_;
-  std::vector<std::uint16_t> word_shard_;
-  std::int64_t cross_ports_ = 0;
 };
 
 /// The per-graph partition memo behind Graph::partition(): a small FIFO of

@@ -1,28 +1,25 @@
-// The pinned multi-pool engine backend (SubstrateKind::kPinned) — ROADMAP
-// item 2's "real multi-pool NUMA backend behind the same seam" and item
-// 4's "SIMD beyond word-ops for the step phase", in one executor.
+// The pinned multi-pool engine backend — the executor run_message_rounds
+// takes when the effective shard count is above 1, with the AVX2 step
+// kernels of the step phase.
 //
-// Where run_message_rounds_partitioned funnels every phase of every round
-// through the global shared-queue ThreadPool (one dispatch + join barrier
-// per phase — send, flush, deliver, step, clear, rebuild — six global
-// synchronizations a round), this executor gives each shard to a
-// *persistent, affinity-pinned* worker (support/shard_pool.hpp) that owns
-// it for the whole run and fuses the phases around ONE barrier:
+// Every shard of a word-aligned Partition goes to a *persistent,
+// affinity-pinned* worker (support/shard_pool.hpp) that owns it for the
+// whole run, and the phases are fused around ONE barrier per round:
 //
 //   worker w, round r:   for each owned shard s: clear(s, r-2); send(s, r)
 //                        ── the one sense-reversing barrier (fold) ──
 //                        for each owned shard s: step(s, r); rebuild(s)
 //
 // The exchange is ZERO-COPY. Pinned workers share an address space, so
-// unlike ShardedSubstrate there are no mirror slots, no halo record boxes
-// and no per-round O(cut) flush/deliver walks: sends write a *global*
-// CSR-slot message slab (the engine-v3 layout) and steps read any shard's
-// out-slots directly through Graph::peer_port(), exactly like the inline
-// executor. Cross-round safety is a two-parity argument: the slab and the
-// presence bitset are double-buffered by round parity, and the parity-p
-// region is written only by its owning worker *before* barrier r and read
-// by anyone *after* barrier r; the next write to parity p (round r+2's
-// clear + send) happens only after the writer passed barrier r+1, which
+// there are no mirror slots, no halo record boxes and no per-round O(cut)
+// flush/deliver walks: sends write a *global* CSR-slot message slab (the
+// engine-v3 layout) and steps read any shard's out-slots directly through
+// Graph::peer_port(), exactly like the inline executor. Cross-round
+// safety is a two-parity argument: the slab and the presence bitset are
+// double-buffered by round parity, and the parity-p region is written
+// only by its owning worker *before* barrier r and read by anyone *after*
+// barrier r; the next write to parity p (round r+2's clear + send)
+// happens only after the writer passed barrier r+1, which
 // every reader of round r reached only after its steps finished. The
 // barrier's release/acquire ordering is the only synchronization the data
 // needs — phases themselves use no atomics except on the rare presence
@@ -46,12 +43,13 @@
 //
 // Sends iterate frontier words in node order per shard and shards in
 // index order, and the slab cell written for a (sender, port) is the same
-// CSR slot the inline executor writes, so pinned ≡ sharded ≡ serial
-// bit-identity holds at every shard and thread count (pinned by
+// CSR slot the inline executor writes, so pinned ≡ inline bit-identity
+// holds at every shard and thread count (pinned by
 // tests/shard_pool_test.cpp over the whole registry). The cross-shard
 // traffic gauges count present out-slots whose reader lives in another
-// shard (a precomputed "cross" bit per slot, from Partition::halo_out);
-// halo_bytes is the payload bytes those readers pull across shards.
+// shard (a "cross" bit per slot, set at init where the slot's peer port
+// lies outside the owning shard's port range); halo_bytes is the payload
+// bytes those readers pull across shards.
 //
 // SIMD step kernels (__AVX2__ builds): for uniform-send algorithms with an
 // 8-byte packed wire form, a frontier word with enough active nodes steps
@@ -90,7 +88,6 @@
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "local/engine_bitset.hpp"
-#include "local/engine_substrate.hpp"
 #include "local/message_engine_stats.hpp"
 #include "support/check.hpp"
 #include "support/shard_pool.hpp"
@@ -107,7 +104,7 @@ inline bool& engine_simd() {
   return on;
 }
 
-/// RAII SIMD pin for tests (mirrors ScopedEngineVersion).
+/// RAII SIMD pin for tests (mirrors ScopedEngineShards).
 class ScopedEngineSimd {
  public:
   explicit ScopedEngineSimd(bool on) : saved_(engine_simd()) {
@@ -282,8 +279,7 @@ int run_rounds_with_team(const Graph& g, Alg& alg, std::int64_t max_rounds,
   WordBitset active(n);
   WordBitset drain(n);
   // One bit per out-slot whose reader lives in another shard (built from
-  // halo_out at init; drives the traffic gauges and the planted-loss
-  // knob). Read-only after init.
+  // peer_port at init; drives the traffic gauges). Read-only after init.
   WordBitset cross(slots);
 
   // Per-shard state: the deferred-clear dirty-word lists (one per slab
@@ -370,10 +366,6 @@ int run_rounds_with_team(const Graph& g, Alg& alg, std::int64_t max_rounds,
     const int s_lo = shard_lo(w);
     const int s_hi = shard_lo(w + 1);
     WorkerSlot& my = slot[static_cast<std::size_t>(w)];
-    // The planted-loss knob is thread-local to this worker; the InlineTeam
-    // case runs on the dispatching thread, so a test arming the knob there
-    // observes the drop (the documented serial-only semantics).
-    std::int64_t& drop_ref = engine_test_drop_halo();
 
     // ---- Init: first-touch the owned shards' slab ranges (both
     // parities), build the cross mask and the initial frontier.
@@ -392,13 +384,12 @@ int run_rounds_with_team(const Graph& g, Alg& alg, std::int64_t max_rounds,
           const std::size_t w_lo = ps.port_base / kWB;
           const std::size_t w_hi =
               ps.port_end == ps.port_base ? w_lo : (ps.port_end - 1) / kWB;
-          for (const Partition::HaloEntry& e : ps.halo_out) {
-            const std::size_t slot_ix = ps.port_base + e.local_slot;
-            const std::size_t wi = slot_ix / kWB;
+          for (std::size_t i = ps.port_base; i < ps.port_end; ++i) {
+            if (peer[i] >= ps.port_base && peer[i] < ps.port_end) continue;
+            const std::size_t wi = i / kWB;
             const bool edge = (wi == w_lo && ps.port_base % kWB != 0) ||
                               (wi == w_hi && ps.port_end % kWB != 0);
-            cross.or_word(wi, std::uint64_t{1} << (slot_ix % kWB),
-                          multiw && edge);
+            cross.or_word(wi, std::uint64_t{1} << (i % kWB), multiw && edge);
           }
           st.dirty[0].reserve(64);
           st.dirty[1].reserve(64);
@@ -503,8 +494,7 @@ int run_rounds_with_team(const Graph& g, Alg& alg, std::int64_t max_rounds,
                     for (std::size_t p = 0; p < d; ++p) out[p] = pm;
                     pres.set_range(o, o + d, sh_edge);
                     sent_any = true;
-                    // Cross-traffic gauge (and planted loss when armed):
-                    // cross bits inside [o, o + d).
+                    // Cross-traffic gauge: cross bits inside [o, o + d).
                     for (std::size_t cw = o / kWB; cw <= (o + d - 1) / kWB;
                          ++cw) {
                       std::uint64_t cm = cross.word(cw);
@@ -512,26 +502,9 @@ int run_rounds_with_team(const Graph& g, Alg& alg, std::int64_t max_rounds,
                       if (cw == (o + d - 1) / kWB && (o + d) % kWB != 0) {
                         cm &= (std::uint64_t{1} << ((o + d) % kWB)) - 1;
                       }
-                      if (cm == 0) continue;
-                      if (drop_ref >= 0) {
-                        while (cm != 0) {
-                          const int cb = std::countr_zero(cm);
-                          cm &= cm - 1;
-                          if (drop_ref-- == 0) {
-                            pres.reset_range(cw * kWB + cb,
-                                             cw * kWB + cb + 1, sh_edge);
-                          } else {
-                            ++my.msgs;
-                            my.bytes +=
-                                static_cast<std::int64_t>(sizeof(Packed));
-                          }
-                        }
-                      } else {
-                        const int c = std::popcount(cm);
-                        my.msgs += c;
-                        my.bytes +=
-                            static_cast<std::int64_t>(c * sizeof(Packed));
-                      }
+                      const int c = std::popcount(cm);
+                      my.msgs += c;
+                      my.bytes += static_cast<std::int64_t>(c * sizeof(Packed));
                     }
                   }
                 } else {
@@ -547,18 +520,10 @@ int run_rounds_with_team(const Graph& g, Alg& alg, std::int64_t max_rounds,
                     }
                     if (auto m = alg.send(v, static_cast<int>(p), round)) {
                       sslab[pslot] = Traits::pack(*m);
-                      bool deliver = true;
+                      mask |= std::uint64_t{1} << (pslot % kWB);
                       if (cross.test(pslot)) {
-                        if (drop_ref >= 0 && drop_ref-- == 0) {
-                          deliver = false;  // planted loss; knob disarms
-                        } else {
-                          ++my.msgs;
-                          my.bytes +=
-                              static_cast<std::int64_t>(sizeof(Packed));
-                        }
-                      }
-                      if (deliver) {
-                        mask |= std::uint64_t{1} << (pslot % kWB);
+                        ++my.msgs;
+                        my.bytes += static_cast<std::int64_t>(sizeof(Packed));
                       }
                       sent_any = true;
                     }

@@ -68,7 +68,36 @@ std::vector<std::vector<std::string>> refine(
   return sig;
 }
 
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t x) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (x >> (8 * i)) & 0xff;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 }  // namespace
+
+std::uint64_t labeling_fingerprint(const NeLabeling& l) {
+  std::uint64_t h = kFnvBasis;
+  for (NodeId v = 0; v < l.node.size(); ++v)
+    h = fnv1a(h, static_cast<std::uint64_t>(l.node[v]));
+  for (EdgeId e = 0; e < l.edge.size(); ++e) {
+    h = fnv1a(h, static_cast<std::uint64_t>(l.edge[e]));
+    h = fnv1a(h, static_cast<std::uint64_t>(l.half[HalfEdge{e, 0}]));
+    h = fnv1a(h, static_cast<std::uint64_t>(l.half[HalfEdge{e, 1}]));
+  }
+  return h;
+}
+
+std::uint64_t node_map_fingerprint(const NodeMap<int>& m) {
+  std::uint64_t h = kFnvBasis;
+  for (NodeId v = 0; v < m.size(); ++v)
+    h = fnv1a(h, static_cast<std::uint64_t>(m[v]));
+  return h;
+}
 
 std::string view_fingerprint(const Graph& g, const IdMap& ids,
                              const NeLabeling* input, NodeId v, int radius) {

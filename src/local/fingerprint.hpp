@@ -10,15 +10,27 @@
 // edge/half decorations and the far endpoint's view at radius r-1. Equal
 // canonical encodings <=> equal views; the encoding grows exponentially in
 // r, so this is a test/audit facility, not a runtime data structure.
+//
+// The file also holds the 64-bit output digests the committed golden maps
+// (tests/data/*.json) key their expected results on.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "graph/graph.hpp"
+#include "graph/labels.hpp"
 #include "lcl/ne_lcl.hpp"
 #include "local/ids.hpp"
 
 namespace padlock {
+
+/// FNV-1a digest of a labeling: node labels in node order, then per edge
+/// its label and both half labels. Equal labelings digest equally.
+[[nodiscard]] std::uint64_t labeling_fingerprint(const NeLabeling& l);
+
+/// The same digest over a per-node map (e.g. RoundReport::node_rounds).
+[[nodiscard]] std::uint64_t node_map_fingerprint(const NodeMap<int>& m);
 
 /// Canonical encoding of view(v, radius). `input` may be null (no input
 /// labels). Equality is computed by levelwise signature interning, so two

@@ -1,6 +1,7 @@
 #include "local/ids.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_set>
 #include <vector>
 
@@ -26,10 +27,19 @@ IdMap shuffled_ids(const Graph& g, std::uint64_t seed) {
   return ids;
 }
 
+std::uint64_t sparse_id_space(std::uint64_t n) {
+  std::uint64_t square = 0;
+  std::uint64_t cube = 0;
+  if (__builtin_mul_overflow(n, n, &square) ||
+      __builtin_mul_overflow(square, n, &cube)) {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
+  return cube;
+}
+
 IdMap sparse_ids(const Graph& g, std::uint64_t seed) {
   const auto n = g.num_nodes();
-  const std::uint64_t space =
-      std::max<std::uint64_t>(n * n * static_cast<std::uint64_t>(n), 8);
+  const std::uint64_t space = std::max<std::uint64_t>(sparse_id_space(n), 8);
   Rng rng(seed);
   std::unordered_set<std::uint64_t> used;
   IdMap ids(g, 0);

@@ -20,7 +20,12 @@ IdMap sequential_ids(const Graph& g);
 /// A random permutation of 1..n.
 IdMap shuffled_ids(const Graph& g, std::uint64_t seed);
 
-/// n distinct ids sampled from {1..n^3} (sparse id space, the general case).
+/// Size of the sparse id space {1..n^3}: exactly n^3 whenever it fits in
+/// 64 bits, saturated to UINT64_MAX beyond (n > 2642245).
+[[nodiscard]] std::uint64_t sparse_id_space(std::uint64_t n);
+
+/// n distinct ids sampled from {1..sparse_id_space(n)} (sparse id space,
+/// the general case).
 IdMap sparse_ids(const Graph& g, std::uint64_t seed);
 
 /// ids ordered adversarially along a BFS from node 0 (descending with

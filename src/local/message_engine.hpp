@@ -21,8 +21,9 @@
 // the opposite endpoint's port (self-loops deliver between the loop's two
 // ports of the same node) and returns the number of rounds executed.
 //
-// Execution model (what replaced the v2 executor, which itself keeps v1's
-// semantics — see message_engine_v2.hpp for the kept oracle):
+// Execution model of the inline executor (each point replaced a layout of
+// the retired v1/v2 executors, whose outputs the committed reference map
+// tests/data/engine_reference_map.json still pins):
 //
 //  * The message slab stores each algorithm's *wire* layout: MessageTraits
 //    lets an algorithm declare a Packed type smaller than its in-step
@@ -76,19 +77,10 @@
 // machine (a decided Luby node matters to neighbors for exactly one round;
 // a color-reduce node's final color is remembered by its receivers).
 //
-// The v2 executor stays available verbatim as the golden oracle:
-// run_message_rounds dispatches on message_engine_version(), and the
-// engine-migration tests pin v2 == v3 (outputs + rounds) for every
-// registered pair on every family, serial and pooled.
-//
-// Sharded execution (PR 8): when exec_context().shards (or the thread-local
-// ScopedEngineShards pin) asks for more than one shard, dispatch routes to
-// run_message_rounds_partitioned below — the same round lifecycle run per
-// shard over a graph Partition, with cross-shard messages exchanged at the
-// round barrier through a pluggable Substrate backend
-// (local/engine_substrate.hpp). shards == 1 is this file's v3 path
-// verbatim; sharded ≡ serial bit-identity is pinned for the whole registry
-// by tests/substrate_test.cpp.
+// Sharding: when exec_context().shards (or the thread-local
+// ScopedEngineShards pin below) asks for more than one shard, dispatch
+// routes to the pinned worker-team executor (local/engine_pinned.hpp) over
+// a word-aligned graph Partition; shards == 1 is this file's inline path.
 #pragma once
 
 #include <cstdint>
@@ -102,9 +94,7 @@
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "local/engine_bitset.hpp"
-#include "local/engine_substrate.hpp"
 #include "local/message_engine_stats.hpp"
-#include "local/message_engine_v2.hpp"
 #include "support/check.hpp"
 #include "support/thread_pool.hpp"
 
@@ -120,8 +110,8 @@ namespace padlock {
 ///     static Message unpack(Packed p);           //   message ever sent
 ///   };
 ///
-/// pack/unpack must round-trip exactly (bit-identity with the v2 oracle is
-/// pinned on it); assert in pack() when a field could overflow its packed
+/// pack/unpack must round-trip exactly (bit-identity with the reference map
+/// is pinned on it); assert in pack() when a field could overflow its packed
 /// width. Only the send/step phases call them — algorithm code keeps
 /// working with the unpacked Message.
 template <typename Alg, typename = void>
@@ -159,9 +149,8 @@ inline constexpr bool
 /// presence read via word masks from the round's presence-bitset buffer.
 /// The port -> sender-slot mapping is one load from the graph's peer-port
 /// row (contiguous for the reading node). inbox[p] is optional-like
-/// (contextually bool, dereferencing to the Message); unlike the v2
-/// MessageInbox it materializes the unpacked Message in the Ref, so a Ref
-/// stays valid independent of the inbox.
+/// (contextually bool, dereferencing to the Message); the Ref holds the
+/// unpacked Message, so it stays valid independent of the inbox.
 template <typename Alg>
 class PackedInbox {
  public:
@@ -236,35 +225,37 @@ class PackedInbox {
   const std::uint64_t* presence_;
 };
 
-/// Which executor run_message_rounds dispatches to. v3 is the production
-/// path; v2 is the kept oracle, selectable so tests (and emergency
-/// rollback) can run the whole registry through the previous engine.
-enum class MessageEngineVersion { kV3, kV2 };
-
-/// Thread-local on purpose: bench scenario bodies run concurrently on the
-/// pool, and a body that pins v2 (ScopedEngineVersion) must not flip the
-/// engine under a v3 row running on a sibling worker. The engine's own
-/// pooled phases never consult the knob — dispatch happens once, on the
-/// thread that calls run_message_rounds.
-inline MessageEngineVersion& message_engine_version() {
-  thread_local MessageEngineVersion v = MessageEngineVersion::kV3;
-  return v;
+/// Thread-local shard-count override: -1 (default) follows the process-wide
+/// exec_context().shards; >= 0 pins this thread's runs. Batch rows on pool
+/// workers use the scoped form — mutating the global from a worker would
+/// race sibling rows.
+inline int& message_engine_shards() {
+  thread_local int s = -1;
+  return s;
 }
 
-/// RAII version switch for tests: forces an engine and restores on exit.
-class ScopedEngineVersion {
+/// RAII shard-count pin for batch rows, benches and tests.
+class ScopedEngineShards {
  public:
-  explicit ScopedEngineVersion(MessageEngineVersion v)
-      : saved_(message_engine_version()) {
-    message_engine_version() = v;
+  explicit ScopedEngineShards(int shards) : saved_(message_engine_shards()) {
+    message_engine_shards() = shards;
   }
-  ~ScopedEngineVersion() { message_engine_version() = saved_; }
-  ScopedEngineVersion(const ScopedEngineVersion&) = delete;
-  ScopedEngineVersion& operator=(const ScopedEngineVersion&) = delete;
+  ~ScopedEngineShards() { message_engine_shards() = saved_; }
+  ScopedEngineShards(const ScopedEngineShards&) = delete;
+  ScopedEngineShards& operator=(const ScopedEngineShards&) = delete;
 
  private:
-  MessageEngineVersion saved_;
+  int saved_;
 };
+
+/// The shard count a run dispatched from this thread uses: the thread-local
+/// override when pinned, else exec_context().shards, floored at 1. Above 1
+/// run_message_rounds takes the pinned executor.
+[[nodiscard]] inline int engine_effective_shards() {
+  const int pinned = message_engine_shards();
+  const int s = pinned >= 0 ? pinned : exec_context().shards;
+  return s < 1 ? 1 : s;
+}
 
 namespace detail {
 
@@ -507,331 +498,23 @@ int run_message_rounds_v3(const Graph& g, Alg& alg, std::int64_t max_rounds,
   return static_cast<int>(round64);
 }
 
-/// The partitioned executor: the v3 round lifecycle run per shard of
-/// `part`, with cross-shard halos exchanged through `sub` (a Substrate —
-/// local/engine_substrate.hpp) at the round barrier. Every shard owns a
-/// private slab + presence map over its extended slot space [local
-/// out-slots | halo mirror]; senders write local slots exactly as v3 does
-/// (shifted by the shard's port base), the flush/deliver pair moves the
-/// present cross-shard payloads into the readers' mirrors before any
-/// step() of the round, and readers resolve ports through the partition's
-/// reader_slot table — so PackedInbox works unchanged. Word-aligned shard
-/// boundaries keep every frontier word single-shard, which is what lets
-/// the pooled phases reuse v3's word-chunked write discipline untouched.
-/// Bit-identical to the serial inline run at every shard and thread count.
-template <typename Alg, typename SubstrateT>
-int run_message_rounds_partitioned(const Graph& g, Alg& alg,
-                                   std::int64_t max_rounds,
-                                   MessageEngineStats* stats,
-                                   const Partition& part, SubstrateT& sub) {
-  using Traits = MessageTraits<Alg>;
-  using Packed = typename Traits::Packed;
-
-  const std::size_t n = g.num_nodes();
-  const int S = part.num_shards();
-  const std::uint32_t* rslot = part.reader_slot();
-
-  // Run-scoped per-shard buffers. The substrate's outboxes are the only
-  // structures that may grow after warmup (they retain capacity across
-  // rounds, so growth stops once the busiest round has been seen).
-  std::vector<std::vector<Packed>> slab(static_cast<std::size_t>(S));
-  std::vector<PresenceBuffers> presence;
-  presence.reserve(static_cast<std::size_t>(S));
-  for (int s = 0; s < S; ++s) {
-    slab[static_cast<std::size_t>(s)].resize(part.ext_slots(s));
-    presence.emplace_back(part.ext_slots(s));
-  }
-
-  WordBitset active(n);
-  WordBitset drain(n);
-  const std::size_t num_words = active.num_words();
-
-  std::size_t active_count = 0;
-  std::size_t drain_count = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    if (!alg.done(v)) {
-      active.set(v);
-      ++active_count;
-    }
-  }
-  std::size_t busy_words = 0;
-  for (std::size_t w = 0; w < num_words; ++w)
-    if (active.word(w) != 0) ++busy_words;
-
-  MessageEngineStats local;
-  local.shards = S;
-  for (int s = 0; s < S; ++s) {
-    local.bytes_slab += static_cast<std::int64_t>(
-        part.ext_slots(s) * sizeof(Packed) +
-        2 * presence[static_cast<std::size_t>(s)].buffer(0).num_words() *
-            sizeof(std::uint64_t));
-  }
-  local.bytes_state =
-      static_cast<std::int64_t>(2 * num_words * sizeof(std::uint64_t)) +
-      part.bytes();
-
-  std::int64_t round64 = 0;
-  while (active_count > 0) {
-    PADLOCK_REQUIRE(round64 < max_rounds);
-    PADLOCK_REQUIRE(round64 < std::numeric_limits<int>::max());
-    ++round64;
-    const int round = static_cast<int>(round64);
-    local.rounds = round64;
-    local.node_steps += static_cast<std::int64_t>(active_count);
-    local.node_sends += static_cast<std::int64_t>(active_count + drain_count);
-    if (active_count > local.peak_active) local.peak_active = active_count;
-
-    const bool pooled = detail::engine_phase_pooled(busy_words);
-
-    const auto run_phase = [&](const auto& body) {
-      if (!pooled) {
-        ++local.serial_phases;
-        body(std::size_t{0}, num_words);
-        return;
-      }
-      ++local.pooled_phases;
-      parallel_for(0, num_words, detail::kEngineWordGrain,
-                   [&body](std::size_t b, std::size_t e) { body(b, e); });
-    };
-    // Shard-granular dispatch for the exchange phases: one chunk per
-    // shard, so every slab / presence map / outbox row keeps exactly one
-    // writer.
-    const auto run_shards = [&](const auto& body) {
-      if (!pooled) {
-        for (int s = 0; s < S; ++s) body(s);
-        return;
-      }
-      parallel_for(0, static_cast<std::size_t>(S), 1,
-                   [&body](std::size_t b, std::size_t e) {
-                     for (std::size_t s = b; s < e; ++s)
-                       body(static_cast<int>(s));
-                   });
-    };
-
-    // Send phase — v3's, with out-slots rebased into the sender's shard
-    // slab. A word never spans shards, so the shard lookup is per word.
-    run_phase([&](std::size_t wb, std::size_t we) {
-      for (std::size_t w = wb; w < we; ++w) {
-        std::uint64_t bits = active.word(w) | drain.word(w);
-        if (bits == 0) continue;
-        const int sw = part.shard_of_word(w);
-        const std::size_t port_base = part.shard(sw).port_base;
-        WordBitset& pres =
-            presence[static_cast<std::size_t>(sw)].buffer(round);
-        Packed* sslab = slab[static_cast<std::size_t>(sw)].data();
-        const std::size_t base = w * WordBitset::kWordBits;
-        while (bits != 0) {
-          const int b = std::countr_zero(bits);
-          bits &= bits - 1;
-          const NodeId v = static_cast<NodeId>(base +
-                                               static_cast<std::size_t>(b));
-          const auto [o, d] = g.port_span(v);
-          if (d == 0) continue;
-          const std::size_t lo = o - port_base;
-          if constexpr (kEngineUniformSend<Alg>) {
-            if (auto m = alg.send(v, 0, round)) {
-              const Packed pm = Traits::pack(*m);
-              Packed* out = sslab + lo;
-              for (std::size_t p = 0; p < d; ++p) out[p] = pm;
-              pres.set_range(lo, lo + d, pooled);
-            }
-          } else {
-            std::size_t wi = lo / WordBitset::kWordBits;
-            std::uint64_t mask = 0;
-            for (std::size_t p = 0; p < d; ++p) {
-              const std::size_t slot = lo + p;
-              const std::size_t sw2 = slot / WordBitset::kWordBits;
-              if (sw2 != wi) {
-                if (mask != 0) pres.or_word(wi, mask, pooled);
-                wi = sw2;
-                mask = 0;
-              }
-              if (auto m = alg.send(v, static_cast<int>(p), round)) {
-                sslab[slot] = Traits::pack(*m);
-                mask |= std::uint64_t{1} << (slot % WordBitset::kWordBits);
-              }
-            }
-            if (mask != 0) pres.or_word(wi, mask, pooled);
-          }
-        }
-      }
-    });
-
-    // Halo exchange. Flush: each source shard walks its halo table and
-    // ships every *present* cross-shard out-slot (absent slots stay
-    // silence at the reader, exactly as in the flat slab). Then the
-    // barrier, counter fold, and delivery: each destination applies its
-    // records — payload into the mirror slot, presence bit on — before
-    // any node steps. Mirror slots are written only here, and only by
-    // their owning shard.
-    sub.begin_round();
-    run_shards([&](int s) {
-      const WordBitset& pres =
-          presence[static_cast<std::size_t>(s)].buffer(round);
-      const Packed* sslab = slab[static_cast<std::size_t>(s)].data();
-      for (const Partition::HaloEntry& e : part.shard(s).halo_out) {
-        if (!pres.test(e.local_slot)) continue;
-        if (std::int64_t& drop = engine_test_drop_halo(); drop >= 0) {
-          if (drop-- == 0) continue;  // the planted loss; knob disarms
-        }
-        sub.push(s, static_cast<int>(e.dest), e.remote_index,
-                 sslab[e.local_slot]);
-      }
-    });
-    sub.finish_flush();
-    run_shards([&](int t) {
-      WordBitset& pres = presence[static_cast<std::size_t>(t)].buffer(round);
-      Packed* tslab = slab[static_cast<std::size_t>(t)].data();
-      const std::size_t mirror_base = part.local_slots(t);
-      sub.deliver(t, [&](std::uint32_t idx, const Packed& p) {
-        tslab[mirror_base + idx] = p;
-        pres.set(mirror_base + idx);
-      });
-    });
-
-    // Step phase: readers resolve every port through the partition's
-    // reader_slot table — intra-shard ports hit the peer's local out-slot,
-    // cross-shard ports the just-delivered mirror — so the inbox view is
-    // the v3 one over the shard's extended slab.
-    run_phase([&](std::size_t wb, std::size_t we) {
-      for (std::size_t w = wb; w < we; ++w) {
-        std::uint64_t bits = active.word(w);
-        if (bits == 0) continue;
-        const int sw = part.shard_of_word(w);
-        const WordBitset& pres =
-            presence[static_cast<std::size_t>(sw)].buffer(round);
-        const Packed* sslab = slab[static_cast<std::size_t>(sw)].data();
-        const std::size_t base = w * WordBitset::kWordBits;
-        while (bits != 0) {
-          const int b = std::countr_zero(bits);
-          bits &= bits - 1;
-          const NodeId v = static_cast<NodeId>(base +
-                                               static_cast<std::size_t>(b));
-          const auto [o, d] = g.port_span(v);
-          const PackedInbox<Alg> inbox(rslot + o, static_cast<int>(d), sslab,
-                                       pres.words());
-          alg.step(v, inbox, round);
-        }
-      }
-    });
-
-    // Presence clear, v3's two regimes per shard. Sparse rounds reset the
-    // sender-owned local ranges by frontier sweep, then replay this
-    // round's deliveries to reset exactly the mirror bits that were set —
-    // O(active + halo traffic), never O(cut).
-    if (active_count + drain_count >= n / 8) {
-      run_shards([&](int s) {
-        presence[static_cast<std::size_t>(s)].buffer(round).clear_all();
-      });
-    } else {
-      run_phase([&](std::size_t wb, std::size_t we) {
-        for (std::size_t w = wb; w < we; ++w) {
-          std::uint64_t bits = active.word(w) | drain.word(w);
-          if (bits == 0) continue;
-          const int sw = part.shard_of_word(w);
-          const std::size_t port_base = part.shard(sw).port_base;
-          WordBitset& pres =
-              presence[static_cast<std::size_t>(sw)].buffer(round);
-          const std::size_t base = w * WordBitset::kWordBits;
-          while (bits != 0) {
-            const int b = std::countr_zero(bits);
-            bits &= bits - 1;
-            const NodeId v = static_cast<NodeId>(
-                base + static_cast<std::size_t>(b));
-            const auto [o, d] = g.port_span(v);
-            if (d != 0)
-              pres.reset_range(o - port_base, o - port_base + d, pooled);
-          }
-        }
-      });
-      run_shards([&](int t) {
-        WordBitset& pres =
-            presence[static_cast<std::size_t>(t)].buffer(round);
-        const std::size_t mirror_base = part.local_slots(t);
-        sub.deliver(t, [&](std::uint32_t idx, const Packed&) {
-          pres.reset(mirror_base + idx);
-        });
-      });
-    }
-
-    // Frontier rebuild — identical to v3 (the frontier is global; shards
-    // only partition the slots).
-    std::atomic<std::size_t> next_active{0};
-    std::atomic<std::size_t> next_drain{0};
-    std::atomic<std::size_t> next_busy{0};
-    run_phase([&](std::size_t wb, std::size_t we) {
-      std::size_t a_cnt = 0, d_cnt = 0, busy = 0;
-      for (std::size_t w = wb; w < we; ++w) {
-        const std::uint64_t a = active.word(w);
-        if (a == 0 && drain.word(w) == 0) continue;
-        std::uint64_t keep = 0, halted = 0;
-        std::uint64_t bits = a;
-        const std::size_t base = w * WordBitset::kWordBits;
-        while (bits != 0) {
-          const int b = std::countr_zero(bits);
-          const std::uint64_t mask = bits & (~bits + 1);  // lowest set bit
-          bits &= bits - 1;
-          const NodeId v = static_cast<NodeId>(base +
-                                               static_cast<std::size_t>(b));
-          if (alg.done(v)) halted |= mask;
-          else keep |= mask;
-        }
-        active.word(w) = keep;
-        drain.word(w) = halted;
-        a_cnt += static_cast<std::size_t>(std::popcount(keep));
-        d_cnt += static_cast<std::size_t>(std::popcount(halted));
-        if ((keep | halted) != 0) ++busy;
-      }
-      next_active.fetch_add(a_cnt, std::memory_order_relaxed);
-      next_drain.fetch_add(d_cnt, std::memory_order_relaxed);
-      next_busy.fetch_add(busy, std::memory_order_relaxed);
-    });
-    active_count = next_active.load(std::memory_order_relaxed);
-    drain_count = next_drain.load(std::memory_order_relaxed);
-    busy_words = next_busy.load(std::memory_order_relaxed);
-  }
-
-  local.cross_shard_msgs = sub.messages();
-  local.halo_bytes = sub.bytes();
-  accumulate_engine_gauges(local);
-  if (stats != nullptr) *stats = local;
-  return static_cast<int>(round64);
-}
-
 /// Executes `alg` on g until every node is done — the drop-in round
-/// executor every round-based algorithm calls. Dispatch order: the kept v2
-/// oracle when message_engine_version() pins it; the partitioned executor
-/// when engine_effective_shards() > 1 and the substrate knob is not
-/// kInline (backend per engine_substrate(): in-process sharded, the
-/// loopback message-passing skeleton, or the pinned worker-team backend —
-/// local/engine_pinned.hpp); otherwise — and always at shards=1 — the
-/// single-slab v3 path, byte for byte the PR 7 engine. All routes satisfy
-/// the same contract with bit-identical outputs and round counts (pinned
-/// by tests/message_engine_test.cpp, tests/substrate_test.cpp and
-/// tests/shard_pool_test.cpp for every registered pair).
+/// executor every round-based algorithm calls. One knob picks the
+/// executor: at an effective shard count of 1 (the default) the inline v3
+/// path above runs; above 1 the pinned worker-team backend
+/// (local/engine_pinned.hpp) runs over the graph's memoized Partition. A
+/// graph too small to split (one frontier word) stays inline. Both
+/// executors produce bit-identical outputs and round counts for every
+/// shard and thread count (pinned by tests/shard_pool_test.cpp and the
+/// reference-output map in tests/message_engine_test.cpp).
 template <typename Alg>
 int run_message_rounds(const Graph& g, Alg& alg, std::int64_t max_rounds,
                        MessageEngineStats* stats = nullptr) {
-  if (message_engine_version() == MessageEngineVersion::kV2)
-    return run_message_rounds_v2(g, alg, max_rounds, stats);
   const int shards = engine_effective_shards();
-  if (shards > 1 && g.num_nodes() > 0 &&
-      engine_substrate() != SubstrateKind::kInline) {
+  if (shards > 1 && g.num_nodes() > 0) {
     const std::shared_ptr<const Partition> part = g.partition(shards);
-    if (part->num_shards() > 1) {
-      using Packed = typename MessageTraits<Alg>::Packed;
-      if (engine_substrate() == SubstrateKind::kPinned) {
-        return run_message_rounds_pinned(g, alg, max_rounds, stats, *part);
-      }
-      if (engine_substrate() == SubstrateKind::kLoopback) {
-        LoopbackSubstrate<Packed> sub(part->num_shards());
-        return run_message_rounds_partitioned(g, alg, max_rounds, stats,
-                                              *part, sub);
-      }
-      ShardedSubstrate<Packed> sub(part->num_shards());
-      return run_message_rounds_partitioned(g, alg, max_rounds, stats, *part,
-                                            sub);
-    }
+    if (part->num_shards() > 1)
+      return run_message_rounds_pinned(g, alg, max_rounds, stats, *part);
   }
   return run_message_rounds_v3(g, alg, max_rounds, stats);
 }

@@ -1,5 +1,5 @@
-// Run-level counters shared by every generation of the round executor
-// (v1 oracle, v2 oracle, v3 — see local/message_engine.hpp).
+// Run-level counters shared by both round executors (inline v3 and pinned
+// — see local/message_engine.hpp).
 #pragma once
 
 #include <atomic>
@@ -22,24 +22,22 @@ struct MessageEngineStats {
   std::int64_t bytes_slab = 0;
   std::int64_t bytes_state = 0;
 
-  // Phase-dispatch accounting (filled by v3 only): how many send/step
+  // Phase-dispatch accounting (filled by inline v3 only): how many send/step
   // phases ran through the thread pool vs inline. The near-empty-frontier
   // heuristic is pinned through these (tiny frontiers must never pool).
   std::int64_t pooled_phases = 0;
   std::int64_t serial_phases = 0;
 
-  // Substrate accounting (local/engine_substrate.hpp): the shard count the
-  // run executed with (1 = single-slab inline path, including v2/v1), and
-  // the cumulative halo traffic — cross-shard records exchanged at round
-  // barriers and their serialized wire bytes (u32 mirror index + packed
-  // payload each). Zero whenever shards == 1: intra-shard messages never
-  // touch the wire.
+  // Shard accounting: the shard count the run executed with (1 = the
+  // inline path), and the cumulative cross-shard traffic — present
+  // out-slots read by a node of another shard, and their packed payload
+  // bytes. Zero whenever shards == 1.
   std::int64_t shards = 1;
   std::int64_t cross_shard_msgs = 0;
   std::int64_t halo_bytes = 0;
 
-  // Pinned-backend accounting (local/engine_pinned.hpp; zero on every
-  // other route). pinned_teams = workers that ran affinity-pinned to their
+  // Pinned-backend accounting (local/engine_pinned.hpp; zero on the
+  // inline route). pinned_teams = workers that ran affinity-pinned to their
   // own CPU (0 = unpinned fallback or the one-worker inline team).
   // barrier_ns = cumulative wall time workers spent waiting at the round
   // barrier, summed across workers — the coordination overhead the fused

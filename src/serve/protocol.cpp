@@ -4,7 +4,6 @@
 #include <limits>
 #include <sstream>
 
-#include "local/engine_substrate.hpp"
 #include "serve/json.hpp"
 
 namespace padlock::serve {
@@ -89,25 +88,6 @@ bool apply_common_knob(const std::string& key, const JsonValue& v,
     plan.shards = static_cast<int>(require_int(v, key, 1, 65535));
     return true;
   }
-  if (key == "engine") {
-    const std::string& engine = require_string(v, key);
-    if (engine != "v3" && engine != "v2") {
-      refuse("\"engine\" expects \"v3\" or \"v2\", got '" + engine + "'");
-    }
-    plan.engine = engine;
-    return true;
-  }
-  if (key == "substrate") {
-    const std::string& substrate = require_string(v, key);
-    if (!substrate_from_name(substrate)) {
-      refuse(
-          "\"substrate\" expects \"inline\", \"sharded\", \"loopback\" or "
-          "\"pinned\", got '" +
-          substrate + "'");
-    }
-    plan.substrate = substrate;
-    return true;
-  }
   if (key == "ids") {
     try {
       plan.options.ids = id_strategy_from_name(require_string(v, key));
@@ -133,9 +113,8 @@ bool apply_common_knob(const std::string& key, const JsonValue& v,
 void parse_run(const JsonValue& root, Request& req,
                const RequestLimits& limits) {
   static constexpr const char* kKeys[] = {
-      "op",     "id",     "problem", "algo",      "family", "nodes", "degree",
-      "seed",   "repeat", "shards",  "engine",    "ids",    "check", "cache",
-      "substrate"};
+      "op",   "id",     "problem", "algo", "family", "nodes",
+      "degree", "seed", "repeat",  "shards", "ids",  "check", "cache"};
   std::string problem, algo;
   GraphSpec spec;
   for (const auto& [key, value] : root.members) {
@@ -162,9 +141,8 @@ void parse_run(const JsonValue& root, Request& req,
 void parse_sweep(const JsonValue& root, Request& req,
                  const RequestLimits& limits) {
   static constexpr const char* kKeys[] = {
-      "op",     "id",     "pairs",  "families", "sizes", "degree", "seed",
-      "repeat", "shards", "engine", "ids",      "check", "cache",
-      "substrate"};
+      "op",     "id",     "pairs", "families", "sizes", "degree", "seed",
+      "repeat", "shards", "ids",   "check",    "cache"};
   std::vector<std::string> families{"regular"};
   std::vector<std::size_t> sizes{256};
   for (const auto& [key, value] : root.members) {
@@ -352,10 +330,8 @@ std::string done_line(const std::string& id, const SweepOutcome& outcome) {
   out << open_line("done", id) << ", \"status\": "
       << (outcome.all_ok() ? "\"ok\"" : "\"failed\"")
       << ", \"rows\": " << outcome.rows.size() << ", \"failed\": " << failed
-      << ", \"threads\": " << outcome.threads << ", \"engine\": "
-      << json_quote(outcome.engine) << ", \"shards\": " << outcome.shards
-      << ", \"substrate\": " << json_quote(outcome.substrate)
-      << ", \"wall_ns\": " << outcome.wall_ns << "}\n";
+      << ", \"threads\": " << outcome.threads
+      << ", \"shards\": " << outcome.shards << ", \"wall_ns\": " << outcome.wall_ns << "}\n";
   return out.str();
 }
 

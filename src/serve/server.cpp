@@ -147,8 +147,8 @@ struct Server::Impl {
       std::lock_guard<std::mutex> lock(mu);
       s.outstanding = static_cast<std::uint64_t>(outstanding);
     }
-    // Engine/substrate gauges: the process-wide totals every v3-family
-    // executor accumulates into (relaxed reads — stats is a monitoring
+    // Engine gauges: the process-wide totals both round executors
+    // accumulate into (relaxed reads — stats is a monitoring
     // surface, not a synchronization point).
     const EngineGaugeTotals& g = engine_gauge_totals();
     s.engine_runs = g.engine_runs.load(std::memory_order_relaxed);

@@ -1,5 +1,5 @@
 // Persistent per-shard worker teams — the execution substrate of the
-// pinned engine backend (SubstrateKind::kPinned, local/engine_pinned.hpp).
+// pinned engine backend (local/engine_pinned.hpp), taken when shards > 1.
 //
 // The global ThreadPool (support/thread_pool.hpp) is a shared task queue:
 // every phase of every round pays one dispatch + join through one mutex,

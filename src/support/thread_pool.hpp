@@ -55,10 +55,10 @@ struct ExecContext {
   int threads = 1;            // 0 = hardware concurrency
   std::uint64_t seed = 1;     // base seed: the default RunOptions.seed
   bool deterministic = true;  // bit-identical-to-serial guarantee
-  /// Shard count of the partitioned round engine (<= 1 = single-slab
-  /// inline path). Consulted per run through engine_effective_shards()
-  /// (local/engine_substrate.hpp), which also honors a thread-local
-  /// override for bench/test bodies running on pool workers. Mutate only
+  /// Shard count of the round engine (<= 1 = the inline path, > 1 = the
+  /// pinned worker-team executor). Consulted per run through
+  /// engine_effective_shards() (local/message_engine.hpp), which also
+  /// honors a thread-local override for batch rows on pool workers. Mutate only
   /// from the coordinating thread between batches, like `threads`.
   int shards = 1;
 };

@@ -107,6 +107,25 @@ void expect_rows_bit_identical(const SweepRow& a, const SweepRow& b) {
 
 // ---- run_batch -------------------------------------------------------------
 
+// plan.threads == 0 keeps the ambient worker count, so run_batch must not
+// write exec_context().threads at all — not even to "restore" it on exit.
+// Concurrent serve executors run such batches side by side; a restoring
+// write raced them (and undid any change made while the batch ran).
+TEST_F(FaultIsolationTest, ZeroThreadsPlanNeverWritesTheThreadCount) {
+  exec_context().threads = 1;
+  ExecutionPlan plan;
+  plan.pairs = {{"mis", "luby"}};
+  plan.graphs.push_back({"cycle", 64, 3, 5});
+  plan.threads = 0;
+  plan.on_row = [](std::size_t, const SweepRow&) {
+    exec_context().threads = 2;
+  };
+  const SweepOutcome out = run_batch(plan);
+  ASSERT_EQ(out.rows.size(), 1u);
+  EXPECT_TRUE(out.rows[0].ok());
+  EXPECT_EQ(exec_context().threads, 2);
+}
+
 TEST_F(FaultIsolationTest, PoisonedCellsDoNotKillTheBatch) {
   ExecutionPlan plan;
   plan.pairs = {{"test-fault", "ok"},

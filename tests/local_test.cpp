@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "graph/builders.hpp"
 #include "local/engine.hpp"
 #include "local/ids.hpp"
@@ -29,6 +32,18 @@ TEST(Ids, SparseWithinCube) {
   const auto ids = sparse_ids(g, 7);
   EXPECT_TRUE(ids_valid(g, ids));
   for (NodeId v = 0; v < 16; ++v) EXPECT_LE(ids[v], 16ull * 16 * 16);
+}
+
+TEST(Ids, SparseIdSpaceIsTheExactCubeOrSaturates) {
+  EXPECT_EQ(sparse_id_space(0), 0u);
+  EXPECT_EQ(sparse_id_space(1000), 1000000000ull);
+  // The largest n whose cube fits in 64 bits stays exact ...
+  EXPECT_EQ(sparse_id_space(2642245), 2642245ull * 2642245ull * 2642245ull);
+  // ... and beyond it the space saturates instead of wrapping: at 2^22
+  // (serve's default max_nodes) n^3 = 2^66 used to wrap to 0.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(sparse_id_space(2642246), kMax);
+  EXPECT_EQ(sparse_id_space(std::uint64_t{1} << 22), kMax);
 }
 
 TEST(Ids, AdversarialDescendsWithBfsDepth) {

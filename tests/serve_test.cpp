@@ -101,17 +101,15 @@ TEST(ServeProtocol, ParsesRunRequest) {
   EXPECT_EQ(req.plan.threads, 0);  // the daemon contract: never resize
 }
 
-TEST(ServeProtocol, ParsesSubstrateKnob) {
-  const Request req = parse_request(
-      R"({"op": "sweep", "shards": 4, "substrate": "pinned"})",
-      test_limits());
+TEST(ServeProtocol, ParsesShardsKnob) {
+  const Request req =
+      parse_request(R"({"op": "sweep", "shards": 4})", test_limits());
   EXPECT_EQ(req.plan.shards, 4);
-  EXPECT_EQ(req.plan.substrate, "pinned");
-  // Unset stays "": the plan keeps the dispatching thread's substrate.
+  // Unset stays 0: the plan keeps the dispatching thread's shard count.
   const Request plain =
       parse_request(R"({"op": "run", "problem": "mis", "algo": "luby"})",
                     test_limits());
-  EXPECT_TRUE(plain.plan.substrate.empty());
+  EXPECT_EQ(plain.plan.shards, 0);
 }
 
 TEST(ServeProtocol, KnobOrderDoesNotMatter) {
@@ -148,11 +146,13 @@ TEST(ServeProtocol, RefusesSchemaViolations) {
   EXPECT_THROW(parse_request(R"({"op": "sweep", "pairs": ["mis-luby"]})",
                              limits),
                BadRequest);  // pair spec must be problem/algo
-  EXPECT_THROW(parse_request(R"({"op": "sweep", "engine": "v9"})", limits),
+  // The retired executor knobs are unknown keys like any other.
+  EXPECT_THROW(parse_request(R"({"op": "sweep", "engine": "v3"})", limits),
                BadRequest);
-  EXPECT_THROW(
-      parse_request(R"({"op": "sweep", "substrate": "mpi"})", limits),
-      BadRequest);  // unknown substrate name, refused up front
+  EXPECT_THROW(parse_request(R"({"op": "run", "problem": "mis",)"
+                             R"( "algo": "luby", "substrate": "pinned"})",
+                             limits),
+               BadRequest);
   EXPECT_THROW(parse_request(R"({"op": "ping", "nodes": 1})", limits),
                BadRequest);  // ping takes only op/id
 }
@@ -275,7 +275,7 @@ TEST(ServeServer, PingAndStatsRoundTrip) {
   ASSERT_TRUE(stats.has_value());
   EXPECT_TRUE(has_type(*stats, "stats")) << *stats;
   EXPECT_NE(stats->find("\"connections\": 1"), std::string::npos) << *stats;
-  // The engine/substrate gauges ride every stats line (process-wide
+  // The engine gauges ride every stats line (process-wide
   // totals; values depend on what ran before, keys are the contract).
   for (const char* key :
        {"\"engine_runs\"", "\"engine_shards\"", "\"cross_shard_msgs\"",
@@ -286,10 +286,10 @@ TEST(ServeServer, PingAndStatsRoundTrip) {
   server.stop();
 }
 
-// A pinned-substrate sweep through the daemon: the plan knob routes the
-// rows through the pinned backend (done line records it), and the engine
+// A sharded sweep through the daemon: shards > 1 routes the rows through
+// the pinned executor (done line records the shard count), and the engine
 // gauges the stats op surfaces tick.
-TEST(ServeServer, PinnedSubstrateSweepUpdatesEngineGauges) {
+TEST(ServeServer, ShardedSweepUpdatesEngineGauges) {
   Server server(base_options());
   server.start();
   TestClient client(server.port());
@@ -298,7 +298,7 @@ TEST(ServeServer, PinnedSubstrateSweepUpdatesEngineGauges) {
   ASSERT_TRUE(client.send_line(
       R"({"op": "sweep", "id": "p", "pairs": ["mis/luby"],)"
       R"( "families": ["regular"], "sizes": [512], "seed": 5,)"
-      R"( "shards": 4, "substrate": "pinned"})"
+      R"( "shards": 4})"
       "\n"));
   std::string done;
   for (;;) {
@@ -310,13 +310,14 @@ TEST(ServeServer, PinnedSubstrateSweepUpdatesEngineGauges) {
     }
   }
   EXPECT_NE(done.find("\"status\": \"ok\""), std::string::npos) << done;
-  EXPECT_NE(done.find("\"substrate\": \"pinned\""), std::string::npos) << done;
+  EXPECT_NE(done.find("\"shards\": 4"), std::string::npos) << done;
 
   ASSERT_TRUE(client.send_line("{\"op\": \"stats\"}\n"));
   const auto stats = client.read_line();
   ASSERT_TRUE(stats.has_value());
-  // The sweep ran sharded engine work: runs ticked, the last-run shard
-  // gauge shows the request's partitioning, and halo traffic crossed.
+  // The sweep ran pinned engine work: runs ticked, the last-run shard
+  // gauge shows the request's partitioning, and cross-shard traffic
+  // flowed.
   EXPECT_EQ(stats->find("\"engine_runs\": 0,"), std::string::npos) << *stats;
   EXPECT_NE(stats->find("\"engine_shards\": 4"), std::string::npos) << *stats;
   EXPECT_EQ(stats->find("\"cross_shard_msgs\": 0,"), std::string::npos)

@@ -1,5 +1,6 @@
 // Property suite for the pinned multi-pool backend (support/shard_pool.hpp
-// + local/engine_pinned.hpp + the kPinned dispatch in message_engine.hpp):
+// + local/engine_pinned.hpp + the shards > 1 dispatch in
+// message_engine.hpp):
 //
 //  * topology discovery is sane everywhere: online >= 1, listed CPUs are
 //    distinct and ascending, and a team wider than the allowed CPU set
@@ -12,16 +13,15 @@
 //    teams are reusable across runs, and an exception escaping a
 //    barrier-free body is rethrown at run() without killing the team;
 //  * the headline invariant: for EVERY registered pair, pinned execution
-//    is bit-identical to serial (and hence to sharded — substrate_test
-//    pins that leg) over shards {1, 2, 4, 7} x threads {1, 4}, on
+//    is bit-identical to serial over shards {1, 2, 4, 7} x threads {1, 4}, on
 //    synthetic families and the real file-backed sample — this is the
 //    TSan anchor for the fused send+step round protocol at
 //    {4 threads x 4 shards};
 //  * the SIMD step kernel is bit-identical to the scalar oracle
 //    (ScopedEngineSimd off), and where the build carries AVX2 the batched
 //    path demonstrably runs (simd_batches > 0 on a uniform-send rule);
-//  * gauges: pinned runs report shards/halo traffic like sharded runs,
-//    plus barrier_ns, pinned_teams (0 on this box iff the team could not
+//  * gauges: pinned runs report shards and cross-shard traffic, plus
+//    barrier_ns, pinned_teams (0 on this box iff the team could not
 //    be pinned), and numa_local_bytes consistent with pinned_teams;
 //  * fault safety: a round-budget violation under the pinned backend
 //    surfaces as the same ContractViolation the serial engine throws, and
@@ -39,7 +39,6 @@
 #include "core/registry.hpp"
 #include "core/runner.hpp"
 #include "graph/builders.hpp"
-#include "local/engine_substrate.hpp"
 #include "local/message_engine.hpp"
 #include "support/check.hpp"
 #include "support/shard_pool.hpp"
@@ -169,10 +168,9 @@ TEST_F(ShardPoolTest, TeamCacheReusesTeamsBySize) {
 }
 
 // ---- the headline invariant: pinned == serial, bit for bit -----------------
-// Mirrors SubstrateTest.ShardedBitIdenticalToSerialAcrossRegistry with the
-// kPinned substrate: same registry, same shard/thread grid. threads = 4 at
-// shards = 4 runs a real multi-worker team with the fused round protocol —
-// the TSan anchor of this PR.
+// The whole registry over the shard/thread grid. threads = 4 at shards = 4
+// runs a real multi-worker team with the fused round protocol — the TSan
+// anchor of the pinned executor.
 
 TEST_F(ShardPoolTest, PinnedBitIdenticalToSerialAcrossRegistry) {
   struct Instance {
@@ -209,7 +207,6 @@ TEST_F(ShardPoolTest, PinnedBitIdenticalToSerialAcrossRegistry) {
                        " threads=" + std::to_string(threads));
           exec_context().threads = threads;
           ScopedEngineShards scope(shards);
-          ScopedSubstrate sub(SubstrateKind::kPinned);
           const SolveOutcome pinned =
               run(algo->problem, algo->name, *inst.graph, opts);
           ASSERT_TRUE(pinned.ok());
@@ -232,7 +229,6 @@ TEST_F(ShardPoolTest, SimdStepIsBitIdenticalToScalarOracle) {
   MessageEngineStats scalar_stats;
   {
     ScopedEngineShards scope(4);
-    ScopedSubstrate sub(SubstrateKind::kPinned);
     ScopedEngineSimd simd(false);
     scalar = luby_mis(g, ids, 7, &scalar_stats);
   }
@@ -242,7 +238,6 @@ TEST_F(ShardPoolTest, SimdStepIsBitIdenticalToScalarOracle) {
   MessageEngineStats simd_stats;
   {
     ScopedEngineShards scope(4);
-    ScopedSubstrate sub(SubstrateKind::kPinned);
     ScopedEngineSimd simd(true);
     vectored = luby_mis(g, ids, 7, &simd_stats);
   }
@@ -265,7 +260,6 @@ TEST_F(ShardPoolTest, PinnedRunReportsGauges) {
   const Graph g = build::family("regular", 512, 3, 17);
   const IdMap ids = shuffled_ids(g, 5);
   ScopedEngineShards scope(4);
-  ScopedSubstrate sub(SubstrateKind::kPinned);
   MessageEngineStats stats;
   (void)luby_mis(g, ids, 7, &stats);
   EXPECT_EQ(stats.shards, 4);
@@ -299,7 +293,6 @@ TEST_F(ShardPoolTest, RoundBudgetViolationSurvivesAndTeamIsReusable) {
   const Graph g = build::family("cycle", 512, 3, 11);
   const IdMap ids = shuffled_ids(g, 5);
   ScopedEngineShards scope(4);
-  ScopedSubstrate sub(SubstrateKind::kPinned);
   // color-reduce style workloads need hundreds of rounds; a budget of 1 is
   // a guaranteed violation. The pinned engine must convert the fold-side
   // PADLOCK_REQUIRE into the same ContractViolation the serial engine

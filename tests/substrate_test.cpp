@@ -1,49 +1,59 @@
-// Property suite for the sharded execution substrate (graph/partition.hpp
-// + local/engine_substrate.hpp + the partitioned dispatch in
-// local/message_engine.hpp):
+// Property suite for the shard geometry (graph/partition.hpp) and the
+// shard-count dispatch of run_message_rounds (local/message_engine.hpp):
 //
 //  * partition geometry: shards are contiguous, word-aligned, and cover
 //    the node and CSR-port spaces exactly; requested counts clamp to the
 //    frontier word count on tiny graphs;
-//  * table consistency: reader_slot() round-trips through peer_port() for
-//    intra-shard ports and lands every cross-shard port in its reader
-//    shard's halo mirror; halo_out entries are unique, (dest, local_slot)
-//    sorted, and agree with the mirror indices the readers expect;
-//  * the headline invariant: for EVERY registered pair, on synthetic
-//    families and a real file-backed graph, sharded execution is
-//    bit-identical to serial — same labelings, same round counts — at
-//    every shard count, serial and pooled (this is the TSan anchor for
-//    {4 threads x 4 shards});
-//  * the loopback (message-passing) substrate reproduces the same bits
-//    through its serialized wire path, and the halo gauges
-//    (cross_shard_msgs, halo_bytes) are live exactly when shards > 1;
+//  * dispatch: shards == 1 — or a graph too small to split — runs the
+//    inline executor, shards > 1 the pinned one, and the plan's shard count
+//    is row-local;
+//  * the cross-shard gauges count exactly the port slots read across the
+//    cut (peer_port outside the sender's shard range), per send phase, on
+//    both the uniform-send and the per-port send path;
 //  * partitions are memoized per graph: repeated sweep rows on a cached
-//    graph never re-partition (pinned through the process-wide counters);
-//  * fault injection: dropping one cross-shard record corrupts exactly one
-//    row of a run_batch sweep (the checker reports it, status
-//    verify_failed), sibling rows stay ok, and the batch never aborts.
+//    graph never re-partition (pinned through the process-wide counters).
+//
+// Bit-identity of the pinned executor with the inline one is pinned by
+// tests/shard_pool_test.cpp and the reference-output map of
+// tests/message_engine_test.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "algo/luby_mis.hpp"
 #include "core/graph_cache.hpp"
-#include "core/registry.hpp"
 #include "core/runner.hpp"
 #include "graph/builders.hpp"
 #include "graph/partition.hpp"
-#include "local/engine_substrate.hpp"
 #include "local/message_engine.hpp"
 #include "support/thread_pool.hpp"
 
 namespace padlock {
 namespace {
 
-#ifndef PADLOCK_TEST_DATA_DIR
-#error "PADLOCK_TEST_DATA_DIR must point at tests/data (set by CMake)"
-#endif
+// Every node broadcasts its id for exactly kRounds rounds, then halts. All
+// n nodes send in each of those rounds and, as drain nodes, once more: the
+// pinned protocol runs the send phase before the barrier fold that detects
+// termination, so the drain round's sends are counted although no step
+// reads them. The cross-shard gauges must therefore equal (kRounds + 1) x
+// (cut slots). kUniform selects the engine's send path.
+template <bool kUniform>
+struct FixedRounds {
+  static constexpr int kRounds = 5;
+  static constexpr bool kUniformSend = kUniform;
+  using Message = std::uint64_t;
+  std::vector<int> left;
+  explicit FixedRounds(std::size_t n) : left(n, kRounds) {}
+  std::optional<Message> send(NodeId v, int, int) { return v; }
+  template <class Inbox>
+  void step(NodeId v, const Inbox&, int) {
+    --left[v];
+  }
+  bool done(NodeId v) const { return left[v] == 0; }
+};
 
 class SubstrateTest : public ::testing::Test {
  protected:
@@ -74,12 +84,9 @@ TEST_F(SubstrateTest, PartitionIsWordAlignedAndCoversTheGraph) {
     next_node = sh.node_end;
     next_word = sh.word_end;
     next_port = sh.port_end;
-    for (NodeId v = sh.node_begin; v < sh.node_end; ++v)
-      EXPECT_EQ(part.shard_of_node(v), s);
   }
   EXPECT_EQ(next_node, g.num_nodes());
   EXPECT_EQ(next_port, 2 * g.num_edges());
-  EXPECT_GT(part.cross_ports(), 0);
   EXPECT_GT(part.bytes(), 0);
 }
 
@@ -88,168 +95,73 @@ TEST_F(SubstrateTest, PartitionClampsToFrontierWords) {
   const Graph tiny = build::family("cycle", 100, 3, 7);
   EXPECT_EQ(Partition::build(tiny, 7).num_shards(), 2);
   EXPECT_EQ(Partition::build(tiny, 1).num_shards(), 1);
-  // One word -> always one shard; a single-shard partition has no cut.
+  // One word -> always one shard.
   const Graph word = build::family("cycle", 64, 3, 7);
-  const Partition p1 = Partition::build(word, 4);
-  EXPECT_EQ(p1.num_shards(), 1);
-  EXPECT_EQ(p1.cross_ports(), 0);
-  EXPECT_TRUE(p1.shard(0).halo_out.empty());
+  EXPECT_EQ(Partition::build(word, 4).num_shards(), 1);
 }
 
-TEST_F(SubstrateTest, ReaderSlotAndHaloTablesAgree) {
-  const Graph g = build::family("torus", 576, 3, 19);
-  const Partition part = Partition::build(g, 4);
-  ASSERT_GT(part.num_shards(), 1);
+// ---- dispatch and gauges ---------------------------------------------------
 
-  // CSR position -> owning node, for walking the tables from both sides.
-  std::vector<NodeId> owner(2 * g.num_edges());
-  for (NodeId v = 0; v < g.num_nodes(); ++v)
-    for (int p = 0; p < g.degree(v); ++p)
-      owner[g.port_offset(v) + static_cast<std::size_t>(p)] = v;
-
-  // Every CSR port resolves inside its reader's extended slab: intra-shard
-  // ports to the peer's local out-slot, cross-shard ports to the mirror.
-  std::int64_t cross_seen = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const int s = part.shard_of_node(v);
-    const Partition::Shard& sh = part.shard(s);
-    for (int p = 0; p < g.degree(v); ++p) {
-      const std::size_t i = g.port_offset(v) + static_cast<std::size_t>(p);
-      const std::size_t j = g.peer_port()[i];  // sender's out-slot
-      const std::size_t idx = part.reader_slot()[i];
-      const NodeId sender = owner[j];
-      if (part.shard_of_node(sender) == s) {
-        EXPECT_EQ(idx, j - sh.port_base);
-      } else {
-        ++cross_seen;
-        EXPECT_GE(idx, part.local_slots(s));
-        EXPECT_LT(idx, part.ext_slots(s));
-      }
-    }
-  }
-  EXPECT_EQ(cross_seen, part.cross_ports());
-
-  // halo_out is the exact send-side inverse: for each entry, the reader of
-  // that out-slot lives in `dest` and expects the payload at its mirror
-  // index. Entries are (dest, local_slot)-sorted and sum to the cut.
-  std::int64_t entries = 0;
-  for (int s = 0; s < part.num_shards(); ++s) {
-    const Partition::Shard& sh = part.shard(s);
-    for (std::size_t k = 0; k < sh.halo_out.size(); ++k) {
-      const Partition::HaloEntry& e = sh.halo_out[k];
-      ++entries;
-      ASSERT_LT(e.local_slot, part.local_slots(s));
-      ASSERT_NE(static_cast<int>(e.dest), s);
-      ASSERT_LT(e.remote_index,
-                part.shard(static_cast<int>(e.dest)).mirror);
-      if (k > 0) {
-        const Partition::HaloEntry& prev = sh.halo_out[k - 1];
-        EXPECT_TRUE(prev.dest < e.dest ||
-                    (prev.dest == e.dest && prev.local_slot < e.local_slot));
-      }
-      // The reader position of this out-slot is its peer port.
-      const std::size_t i = g.peer_port()[sh.port_base + e.local_slot];
-      EXPECT_EQ(part.shard_of_node(owner[i]), static_cast<int>(e.dest));
-      EXPECT_EQ(part.reader_slot()[i],
-                part.local_slots(static_cast<int>(e.dest)) + e.remote_index);
-    }
-  }
-  EXPECT_EQ(entries, part.cross_ports());
-}
-
-// ---- the headline invariant: sharded == serial, bit for bit ----------------
-// n = 512 (8 frontier words) makes 7 shards genuinely distinct; threads = 4
-// exercises the pooled word-chunked phases over the per-shard slabs (the
-// configuration the TSan CI job runs).
-
-TEST_F(SubstrateTest, ShardedBitIdenticalToSerialAcrossRegistry) {
-  struct Instance {
-    std::string label;
-    std::shared_ptr<const Graph> graph;
-  };
-  std::vector<Instance> instances;
-  for (const std::string fam : {"cycle", "regular", "path", "torus"}) {
-    instances.push_back(
-        {fam, std::make_shared<const Graph>(build::family(fam, 512, 3, 13))});
-  }
-  const std::string sample =
-      std::string(PADLOCK_TEST_DATA_DIR) + "/p2p-sample.txt";
-  instances.push_back({"file:p2p-sample",
-                       GraphCache::instance().get_or_build(
-                           "file:" + sample, 0, 0, 0)});
-
-  for (const auto* algo : AlgorithmRegistry::instance().algos()) {
-    for (const Instance& inst : instances) {
-      if (algo->precondition && !algo->precondition(*inst.graph)) continue;
-      RunOptions opts;
-      opts.seed = 29;
-      exec_context().threads = 1;
-      SolveOutcome serial;
-      {
-        ScopedEngineShards scope(1);
-        serial = run(algo->problem, algo->name, *inst.graph, opts);
-      }
-      ASSERT_TRUE(serial.ok());
-      for (const int shards : {2, 4, 7}) {
-        for (const int threads : {1, 4}) {
-          SCOPED_TRACE(algo->problem + "/" + algo->name + " @" + inst.label +
-                       " shards=" + std::to_string(shards) +
-                       " threads=" + std::to_string(threads));
-          exec_context().threads = threads;
-          ScopedEngineShards scope(shards);
-          const SolveOutcome sharded =
-              run(algo->problem, algo->name, *inst.graph, opts);
-          ASSERT_TRUE(sharded.ok());
-          EXPECT_TRUE(sharded.output == serial.output);
-          EXPECT_TRUE(sharded.rounds == serial.rounds);
-        }
-      }
-    }
-  }
-}
-
-// ---- substrates and gauges -------------------------------------------------
-
-TEST_F(SubstrateTest, LoopbackWirePathReproducesShardedBits) {
-  exec_context().threads = 1;
-  const Graph g = build::family("regular", 512, 3, 17);
-  const IdMap ids = shuffled_ids(g, 5);
-
-  MessageEngineStats serial_stats;
-  MisResult serial;
-  {
-    ScopedEngineShards scope(1);
-    serial = luby_mis(g, ids, 7, &serial_stats);
-  }
-  EXPECT_EQ(serial_stats.shards, 1);
-  EXPECT_EQ(serial_stats.cross_shard_msgs, 0);
-  EXPECT_EQ(serial_stats.halo_bytes, 0);
-
-  for (const SubstrateKind kind :
-       {SubstrateKind::kSharded, SubstrateKind::kLoopback}) {
-    SCOPED_TRACE(kind == SubstrateKind::kLoopback ? "loopback" : "sharded");
-    ScopedEngineShards scope(4);
-    ScopedSubstrate sub(kind);
-    MessageEngineStats stats;
-    const MisResult sharded = luby_mis(g, ids, 7, &stats);
-    EXPECT_TRUE(sharded.in_set == serial.in_set);
-    EXPECT_EQ(sharded.rounds, serial.rounds);
-    EXPECT_EQ(stats.shards, 4);
-    EXPECT_GT(stats.cross_shard_msgs, 0);
-    EXPECT_GT(stats.halo_bytes, stats.cross_shard_msgs);
-  }
-}
-
-TEST_F(SubstrateTest, InlineSubstrateIgnoresShardCount) {
+TEST_F(SubstrateTest, OneShardOrOneWordRunsInline) {
   exec_context().threads = 1;
   const Graph g = build::family("cycle", 256, 3, 11);
   const IdMap ids = shuffled_ids(g, 5);
+  {
+    ScopedEngineShards scope(1);
+    MessageEngineStats stats;
+    (void)luby_mis(g, ids, 7, &stats);
+    EXPECT_EQ(stats.shards, 1);
+    EXPECT_EQ(stats.cross_shard_msgs, 0);
+    EXPECT_GT(stats.serial_phases, 0);  // the inline executor's counters
+  }
+  // A one-word graph cannot be split: shards = 4 still runs inline.
+  const Graph word = build::family("cycle", 64, 3, 11);
+  const IdMap word_ids = shuffled_ids(word, 5);
   ScopedEngineShards scope(4);
-  ScopedSubstrate sub(SubstrateKind::kInline);
   MessageEngineStats stats;
-  (void)luby_mis(g, ids, 7, &stats);
-  EXPECT_EQ(stats.shards, 1);  // forced single-slab v3 path
-  EXPECT_EQ(stats.cross_shard_msgs, 0);
+  (void)luby_mis(word, word_ids, 7, &stats);
+  EXPECT_EQ(stats.shards, 1);
+  EXPECT_EQ(stats.halo_bytes, 0);
+}
+
+template <bool kUniform>
+void expect_cut_traffic(const Graph& g, int shards) {
+  const Partition part = Partition::build(g, shards);
+  std::int64_t cut = 0;
+  for (int s = 0; s < part.num_shards(); ++s) {
+    const Partition::Shard& sh = part.shard(s);
+    for (std::size_t i = sh.port_base; i < sh.port_end; ++i) {
+      const std::size_t reader = g.peer_port()[i];
+      if (reader < sh.port_base || reader >= sh.port_end) ++cut;
+    }
+  }
+  ASSERT_GT(cut, 0);
+  ScopedEngineShards scope(shards);
+  FixedRounds<kUniform> alg(g.num_nodes());
+  MessageEngineStats stats;
+  EXPECT_EQ(run_message_rounds(g, alg, 100, &stats),
+            FixedRounds<kUniform>::kRounds);
+  EXPECT_EQ(stats.shards, part.num_shards());
+  EXPECT_EQ(stats.cross_shard_msgs,
+            (FixedRounds<kUniform>::kRounds + 1) * cut);
+  EXPECT_EQ(stats.halo_bytes, stats.cross_shard_msgs *
+                                  static_cast<std::int64_t>(sizeof(
+                                      typename FixedRounds<kUniform>::Message)));
+}
+
+TEST_F(SubstrateTest, CrossShardGaugesCountCutSlotsPerRound) {
+  for (const int threads : {1, 4}) {
+    exec_context().threads = threads;
+    for (const std::string fam : {"torus", "regular"}) {
+      const Graph g = build::family(fam, 576, 3, 19);
+      for (const int shards : {2, 4, 7}) {
+        SCOPED_TRACE(fam + " shards=" + std::to_string(shards) +
+                     " threads=" + std::to_string(threads));
+        expect_cut_traffic<true>(g, shards);
+        expect_cut_traffic<false>(g, shards);
+      }
+    }
+  }
 }
 
 // ---- partition memoization -------------------------------------------------
@@ -282,65 +194,19 @@ TEST_F(SubstrateTest, PartitionsAreMemoizedPerGraphAndSharedByCopies) {
   EXPECT_EQ(c.hits, 1);
 }
 
-// ---- fault injection through the sweep surface -----------------------------
-// Dropping one cross-shard record of the first row corrupts that row's
-// halo mirror; the checker reports the bad labeling as a row-scoped
-// verify_failed while the sibling rows (same batch, same plan) stay ok.
-// This pins the whole detection chain: wire fault -> wrong output ->
-// checker -> row status, with no batch abort. The dropped index is a
-// deterministic pick (everything is seeded): record 5 of this run is a
-// round-1 Luby bid whose loss provably flips the MIS (record 0 happens to
-// be a message its reader ignores — silence is a legal inbox state, so
-// not every drop is observable).
-
-TEST_F(SubstrateTest, DroppedHaloRecordIsCaughtRowScoped) {
-  ExecutionPlan plan;
-  plan.pairs = {{"mis", "luby"}};
-  plan.graphs.push_back({"regular", 512, 3, 13});
-  plan.graphs.push_back({"regular", 512, 3, 14});
-  plan.graphs.push_back({"cycle", 512, 3, 15});
-  plan.threads = 1;  // rows run inline, so the injection knob is visible
-  plan.shards = 2;
-  plan.options.seed = 29;
-
-  engine_test_drop_halo() = 5;  // drop the 6th halo record flushed
-  const SweepOutcome out = run_batch(plan);
-  EXPECT_EQ(engine_test_drop_halo(), -1) << "one-shot knob must disarm";
-  ASSERT_EQ(out.rows.size(), 3u);
-  EXPECT_EQ(out.rows[0].status, RowStatus::kVerifyFailed);
-  EXPECT_FALSE(out.rows[0].note.empty());
-  EXPECT_EQ(out.rows[1].status, RowStatus::kOk);
-  EXPECT_EQ(out.rows[2].status, RowStatus::kOk);
-
-  // The same plan un-faulted is clean end to end.
-  const SweepOutcome clean = run_batch(plan);
-  EXPECT_TRUE(clean.all_ok());
-}
-
-// ---- plan validation -------------------------------------------------------
-
-TEST_F(SubstrateTest, MalformedEnginePlanThrows) {
-  ExecutionPlan plan;
-  plan.pairs = {{"mis", "luby"}};
-  plan.graphs.push_back({"cycle", 64, 3, 5});
-  plan.engine = "v7";
-  EXPECT_THROW(run_batch(plan), RegistryError);
-}
-
-TEST_F(SubstrateTest, SweepOutcomeRecordsEngineAndShards) {
+TEST_F(SubstrateTest, SweepOutcomeRecordsShards) {
   ExecutionPlan plan;
   plan.pairs = {{"mis", "luby"}};
   plan.graphs.push_back({"regular", 512, 3, 13});
   plan.threads = 1;
   plan.shards = 4;
-  plan.engine = "v3";
   const SweepOutcome out = run_batch(plan);
   EXPECT_TRUE(out.all_ok());
-  EXPECT_EQ(out.engine, "v3");
   EXPECT_EQ(out.shards, 4);
   const std::string json = to_json(out);
-  EXPECT_NE(json.find("\"engine\": \"v3\""), std::string::npos);
-  EXPECT_NE(json.find("\"shards\": 4"), std::string::npos);
+  EXPECT_EQ(json.rfind("{\"threads\": 1, \"shards\": 4, \"wall_ns\": ", 0),
+            0u)
+      << json.substr(0, 80);
   EXPECT_NE(json.find("\"cross_shard_msgs\""), std::string::npos);
   EXPECT_NE(json.find("\"halo_bytes\""), std::string::npos);
 
