@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <queue>
-#include <unordered_map>
+#include <numeric>
 #include <vector>
 
-#include "graph/metrics.hpp"
 #include "support/rng.hpp"
 
 namespace padlock {
@@ -19,6 +17,49 @@ int radius_cap(std::size_t n) {
 
 }  // namespace
 
+int cluster_radius(const Graph& g, NodeId center,
+                   std::span<const NodeId> members) {
+  const std::size_t n = g.num_nodes();
+  PADLOCK_REQUIRE(center < n);
+  for (const NodeId m : members) PADLOCK_REQUIRE(m < n);
+  thread_local std::vector<int> dist;
+  thread_local std::vector<char> wanted;
+  thread_local std::vector<NodeId> ball;
+  if (dist.size() < n) {
+    dist.assign(n, -1);
+    wanted.assign(n, 0);
+  }
+  std::size_t remaining = 0;
+  for (const NodeId m : members) {
+    if (wanted[m] == 0) ++remaining;
+    wanted[m] = 1;
+  }
+  // BFS discovers nodes in nondecreasing distance, so the last member
+  // reached sets the radius; stop there instead of covering the component.
+  int radius = 0;
+  ball.clear();
+  auto reach = [&](NodeId u, int d) {
+    dist[u] = d;
+    ball.push_back(u);
+    if (wanted[u] != 0) {
+      wanted[u] = 0;
+      --remaining;
+      radius = d;
+    }
+  };
+  reach(center, 0);
+  for (std::size_t head = 0; head < ball.size() && remaining > 0; ++head) {
+    const NodeId u = ball[head];
+    for (int p = 0; p < g.degree(u); ++p) {
+      const NodeId w = g.neighbor(u, p);
+      if (dist[w] == -1) reach(w, dist[u] + 1);
+    }
+  }
+  for (const NodeId u : ball) dist[u] = -1;
+  for (const NodeId m : members) wanted[m] = 0;  // unreachable members
+  return radius;
+}
+
 Decomposition network_decomposition(const Graph& g, const IdMap& ids,
                                     std::uint64_t seed) {
   PADLOCK_REQUIRE(ids_valid(g, ids));
@@ -28,6 +69,10 @@ Decomposition network_decomposition(const Graph& g, const IdMap& ids,
   Decomposition out{NodeMap<int>(g, 0), NodeMap<NodeId>(g, kNoNode), 0, 0, 0};
   std::vector<bool> live(n, true);
   std::size_t live_count = n;
+  // Claim-flood scratch: distances from the current claimant over its ball,
+  // reset from the ball list after each claim.
+  std::vector<int> dist(n, -1);
+  std::vector<NodeId> ball;
 
   int phase = 0;
   while (live_count > 0) {
@@ -54,17 +99,13 @@ Decomposition network_decomposition(const Graph& g, const IdMap& ids,
     std::vector<int> best_slack(n, -1);  // r_v - d(u,v) of the elected claim
     for (NodeId v = 0; v < n; ++v) {
       if (!live[v]) continue;
-      // BFS to depth r[v].
-      std::queue<std::pair<NodeId, int>> q;
-      std::vector<NodeId> touched;
-      // Local visited marker via best arrays would break other claims; use
-      // a per-claim map.
-      std::unordered_map<NodeId, int> dist;
+      // BFS to depth r[v]; the ball list doubles as the queue.
+      ball.clear();
       dist[v] = 0;
-      q.push({v, 0});
-      while (!q.empty()) {
-        const auto [u, d] = q.front();
-        q.pop();
+      ball.push_back(v);
+      for (std::size_t head = 0; head < ball.size(); ++head) {
+        const NodeId u = ball[head];
+        const int d = dist[u];
         if (ids[v] > best_id[u]) {
           best_id[u] = ids[v];
           best_center[u] = v;
@@ -73,10 +114,12 @@ Decomposition network_decomposition(const Graph& g, const IdMap& ids,
         if (d == r[v]) continue;
         for (int p = 0; p < g.degree(u); ++p) {
           const NodeId w = g.neighbor(u, p);
-          if (dist.emplace(w, d + 1).second) q.push({w, d + 1});
+          if (dist[w] != -1) continue;
+          dist[w] = d + 1;
+          ball.push_back(w);
         }
       }
-      (void)touched;
+      for (const NodeId u : ball) dist[u] = -1;
     }
 
     // Elect and retire: only strictly interior nodes join (d < r of the
@@ -96,21 +139,22 @@ Decomposition network_decomposition(const Graph& g, const IdMap& ids,
   out.num_colors = phase;
 
   // Cluster radius bookkeeping (around centers). A center may itself have
-  // retired into a different cluster in a later phase, so collect the set
-  // of referenced centers rather than self-members.
+  // retired into a different cluster in a later phase, so group members by
+  // their referenced center rather than by self-membership.
   for (NodeId v = 0; v < n; ++v) PADLOCK_ASSERT(out.cluster[v] != kNoNode);
-  std::vector<NodeId> centers;
-  {
-    std::vector<bool> is_center(n, false);
-    for (NodeId v = 0; v < n; ++v) is_center[out.cluster[v]] = true;
-    for (NodeId v = 0; v < n; ++v)
-      if (is_center[v]) centers.push_back(v);
-  }
-  for (NodeId c : centers) {
-    const auto dist = bfs_distances(g, c);
-    for (NodeId v = 0; v < n; ++v)
-      if (out.cluster[v] == c)
-        out.max_cluster_radius = std::max(out.max_cluster_radius, dist[v]);
+  std::vector<NodeId> by_center(n);
+  std::iota(by_center.begin(), by_center.end(), NodeId{0});
+  std::sort(by_center.begin(), by_center.end(), [&](NodeId a, NodeId b) {
+    return out.cluster[a] < out.cluster[b];
+  });
+  const std::span<const NodeId> all(by_center);
+  for (std::size_t i = 0; i < n;) {
+    const NodeId c = out.cluster[by_center[i]];
+    std::size_t j = i;
+    while (j < n && out.cluster[by_center[j]] == c) ++j;
+    out.max_cluster_radius = std::max(
+        out.max_cluster_radius, cluster_radius(g, c, all.subspan(i, j - i)));
+    i = j;
   }
   return out;
 }

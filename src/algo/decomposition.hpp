@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "graph/graph.hpp"
 #include "graph/labels.hpp"
@@ -33,6 +34,15 @@ struct Decomposition {
 
 Decomposition network_decomposition(const Graph& g, const IdMap& ids,
                                     std::uint64_t seed);
+
+/// Radius of a cluster around `center`: the largest BFS distance in g from
+/// `center` to a member. Members unreachable from `center` are skipped, and
+/// the center need not be a member itself (a center may retire into another
+/// cluster). The BFS runs on flat per-thread scratch and stops as soon as the
+/// last member is reached, so it costs the ball of that radius around the
+/// center, not the whole component.
+int cluster_radius(const Graph& g, NodeId center,
+                   std::span<const NodeId> members);
 
 /// True iff same-color clusters are pairwise non-adjacent and every cluster
 /// has weak diameter (here: radius around its center) <= max_radius.

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "graph/metrics.hpp"
 #include "support/check.hpp"
 
 namespace padlock {
@@ -55,12 +54,9 @@ DerandomizedResult solve_by_decomposition(const Graph& g,
     for (const Cluster& cl : clusters) {
       if (cl.color != c) continue;
       // Radius of the cluster around its center, measured in g.
-      const NodeMap<int> dist = bfs_distances(g, decomp.cluster[cl.nodes[0]]);
-      for (NodeId v : cl.nodes) {
-        if (dist[v] != kUnreachable) {
-          color_radius = std::max(color_radius, dist[v]);
-        }
-      }
+      const NodeId center = decomp.cluster[cl.nodes[0]];
+      color_radius =
+          std::max(color_radius, cluster_radius(g, center, cl.nodes));
       complete(g, cl.nodes, fixed, res.output);
     }
     bool any = false;

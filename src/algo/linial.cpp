@@ -3,7 +3,9 @@
 #include "core/registry.hpp"
 #include "lcl/problems/coloring.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -34,26 +36,46 @@ struct StepParams {
   int k = 0;
 };
 
+/// base^exp, saturating at UINT64_MAX.
+std::uint64_t saturating_pow(std::uint64_t base, int exp) {
+  std::uint64_t p = 1;
+  for (int i = 0; i < exp; ++i) {
+    if (__builtin_mul_overflow(p, base, &p))
+      return std::numeric_limits<std::uint64_t>::max();
+  }
+  return p;
+}
+
+/// Smallest r >= 1 with r^m >= K: the exact integer ceiling of K^{1/m},
+/// from a floating-point estimate corrected in both directions.
+std::uint64_t ceil_root(std::uint64_t K, int m) {
+  if (K <= 1) return 1;
+  auto r = static_cast<std::uint64_t>(
+      std::llround(std::pow(static_cast<double>(K), 1.0 / m)));
+  r = std::max<std::uint64_t>(r, 1);
+  while (r > 1 && saturating_pow(r - 1, m) >= K) --r;
+  while (saturating_pow(r, m) < K) ++r;
+  return r;
+}
+
 StepParams step_params(std::uint64_t K, int max_degree) {
   // Prefer the smallest k with a small field; k = 1 suffices once K is
-  // small, larger K wants larger k so q stays near k·Δ.
+  // small, larger K wants larger k so q stays near k·Δ. For each k, q is
+  // the smallest prime with q > k·Δ and q^{k+1} >= K, computed directly
+  // from the integer (k+1)-th root of K.
   StepParams best;
+  std::uint64_t best_square = 0;
   for (int k = 1; k <= 12; ++k) {
-    std::uint64_t q = next_prime(static_cast<std::uint64_t>(k) *
-                                     static_cast<std::uint64_t>(max_degree) +
-                                 1);
-    // Raise q until q^{k+1} >= K (q stays prime).
-    auto pow_ge = [&](std::uint64_t base) {
-      std::uint64_t p = 1;
-      for (int i = 0; i <= k; ++i) {
-        if (p >= K) return true;
-        if (base != 0 && p > K / base + 1) return true;
-        p *= base;
-      }
-      return p >= K;
-    };
-    while (!pow_ge(q)) q = next_prime(q + 1);
-    if (best.q == 0 || q * q < best.q * best.q) best = {q, k};
+    const std::uint64_t q = next_prime(std::max(
+        next_prime(static_cast<std::uint64_t>(k) *
+                       static_cast<std::uint64_t>(max_degree) +
+                   1),
+        ceil_root(K, k + 1)));
+    const std::uint64_t square = saturating_pow(q, 2);
+    if (best.q == 0 || square < best_square) {
+      best = {q, k};
+      best_square = square;
+    }
   }
   PADLOCK_ASSERT(best.q > 0);
   return best;

@@ -195,28 +195,43 @@ void enumerate_cycles_through(const Graph& g, NodeId v, int k,
     return;
   }
 
-  // BFS distances from v, truncated at k, for pruning.
-  std::unordered_map<NodeId, int> dist;
-  {
-    dist[v] = 0;
-    std::queue<NodeId> q;
-    q.push(v);
-    while (!q.empty()) {
-      const NodeId u = q.front();
-      q.pop();
-      if (dist.at(u) >= k) continue;
-      for (int p = 0; p < g.degree(u); ++p) {
-        const NodeId w = g.neighbor(u, p);
-        if (dist.emplace(w, dist.at(u) + 1).second) q.push(w);
-      }
+  // BFS distances from v, for pruning. Every node of a simple k-cycle
+  // through v lies within floor(k/2) of v, and a node farther out fails the
+  // `dist > k - (t+1)` test below anyway (it is first reached at step
+  // t+1 >= dist > k - dist), so the search stops at that radius instead of
+  // covering the graph.
+  thread_local std::vector<int> dist;
+  thread_local std::vector<char> on_path;
+  thread_local std::vector<NodeId> touched;
+  if (dist.size() < g.num_nodes()) {
+    dist.assign(g.num_nodes(), -1);
+    on_path.assign(g.num_nodes(), 0);
+  }
+  // Clear the previous call's ball first, so a call cut short by the
+  // enumeration budget leaves no stale marks behind.
+  for (const NodeId t : touched) {
+    dist[t] = -1;
+    on_path[t] = 0;
+  }
+  touched.clear();
+  const int radius = k / 2;
+  dist[v] = 0;
+  touched.push_back(v);
+  for (std::size_t head = 0; head < touched.size(); ++head) {
+    const NodeId u = touched[head];
+    if (dist[u] >= radius) continue;
+    for (int p = 0; p < g.degree(u); ++p) {
+      const NodeId w = g.neighbor(u, p);
+      if (dist[w] != -1) continue;
+      dist[w] = dist[u] + 1;
+      touched.push_back(w);
     }
   }
 
   std::size_t expansions = 0;
   std::vector<NodeId> path_nodes{v};
   std::vector<EdgeId> path_edges;
-  std::unordered_map<NodeId, bool> on_path;
-  on_path[v] = true;
+  on_path[v] = 1;
 
   auto dfs = [&](auto&& self, NodeId u, int t) -> void {
     PADLOCK_REQUIRE(++expansions < kEnumBudget);
@@ -238,15 +253,13 @@ void enumerate_cycles_through(const Graph& g, NodeId v, int k,
         continue;
       }
       if (w == u) continue;  // self-loop cannot extend a longer cycle
-      auto it = on_path.find(w);
-      if (it != on_path.end() && it->second) continue;
-      const auto dit = dist.find(w);
-      if (dit == dist.end() || dit->second > k - (t + 1)) continue;
+      if (on_path[w]) continue;
+      if (dist[w] == -1 || dist[w] > k - (t + 1)) continue;
       path_nodes.push_back(w);
       path_edges.push_back(h.edge);
-      on_path[w] = true;
+      on_path[w] = 1;
       self(self, w, t + 1);
-      on_path[w] = false;
+      on_path[w] = 0;
       path_nodes.pop_back();
       path_edges.pop_back();
     }

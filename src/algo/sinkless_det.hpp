@@ -32,6 +32,15 @@
 // toward side 1). Each node's decision depends on a radius-O(log n) ball;
 // the per-node certificate radius is reported for round accounting, and
 // tests audit it by re-running the rule on extracted balls.
+//
+// Cost. T membership is one BFS per node, out to radius L/2 or until no
+// shorter cycle through the node is possible; where no short cycle exists
+// (trees) it runs to the full radius. The claim of a node v ∈ T enumerates
+// the length-scl(v) cycles through v inside the ball of radius ⌊scl(v)/2⌋
+// around v (every node of such a cycle lies in that ball), so it pays for
+// that ball plus a depth-first search capped at a fixed expansion budget,
+// never for the whole graph. All scratch is flat per-thread arrays reset
+// from touched lists.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <utility>
+#include <vector>
+
 #include "algo/cole_vishkin.hpp"
 #include "algo/color_reduce.hpp"
 #include "algo/decomposition.hpp"
@@ -150,6 +154,33 @@ TEST(Linial, StepPaletteShrinksLargeSpaces) {
   // Fixpoint: tiny palettes stop shrinking.
   const auto fp = linial_step_palette(49, 3);
   EXPECT_GE(fp, 49u);
+}
+
+// The field size q is computed from the integer (k+1)-th root of K instead of
+// walking primes one at a time; the palettes must not move. Expected values
+// were produced by the prime-walking step_params. For the saturated space
+// (n = 2^22) its k = 1 walk (~2^32 primes by trial division) was skipped: that
+// candidate is q = 2^32 + 15, whose square is far above every k >= 2 palette.
+TEST(Linial, StepPaletteMatchesPrimeWalk) {
+  const int degrees[] = {2, 3, 4, 8};
+  const std::vector<std::pair<int, std::array<std::uint64_t, 4>>> table = {
+      {10, {289, 529, 841, 1681}},
+      {11, {289, 529, 841, 2209}},
+      {12, {289, 529, 841, 2809}},
+      {13, {361, 841, 961, 2809}},
+      {14, {361, 841, 1369, 3481}},
+      {15, {529, 841, 1369, 3481}},
+      {16, {529, 841, 1369, 4489}},
+      {17, {529, 961, 1369, 4489}},
+      {22, {961, 1369, 2209, 6889}},  // sparse_id_space saturates here
+  };
+  for (const auto& [log_n, palettes] : table) {
+    const std::uint64_t K = sparse_id_space(std::uint64_t{1} << log_n);
+    for (std::size_t i = 0; i < palettes.size(); ++i) {
+      EXPECT_EQ(linial_step_palette(K, degrees[i]), palettes[i])
+          << "n = 2^" << log_n << ", degree " << degrees[i];
+    }
+  }
 }
 
 // ---- Luby MIS -----------------------------------------------------------------

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "algo/carving.hpp"
 #include "algo/derandomize.hpp"
 #include "algo/luby_mis.hpp"
 #include "graph/builders.hpp"
+#include "graph/metrics.hpp"
 #include "lcl/problems/coloring.hpp"
 #include "lcl/problems/mis.hpp"
+#include "support/rng.hpp"
 
 namespace padlock {
 namespace {
@@ -118,6 +124,94 @@ TEST(Derandomize, ParallelEdgesAreHarmless) {
   NodeMap<bool> in_set(g, false);
   for (NodeId v = 0; v < g.num_nodes(); ++v) in_set[v] = res.output[v] == 1;
   EXPECT_TRUE(is_mis(g, in_set));
+}
+
+// ---- cluster_radius ------------------------------------------------------
+// The early-stopping BFS must agree with the max of a full bfs_distances
+// over the members, unreachable members skipped.
+
+int full_bfs_radius(const Graph& g, NodeId center,
+                    const std::vector<NodeId>& members) {
+  const NodeMap<int> dist = bfs_distances(g, center);
+  int r = 0;
+  for (const NodeId v : members) r = std::max(r, dist[v]);  // -1 skipped
+  return r;
+}
+
+TEST(ClusterRadius, MatchesFullBfsOnRandomMemberSets) {
+  const Graph g = build::family("bounded", 600, 3, 4);
+  Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto center = static_cast<NodeId>(rng.below(g.num_nodes()));
+    std::vector<NodeId> members;
+    const std::uint64_t size = 1 + rng.below(40);
+    for (std::uint64_t i = 0; i < size; ++i)
+      members.push_back(static_cast<NodeId>(rng.below(g.num_nodes())));
+    if (trial % 2 == 0) members.push_back(center);  // duplicates are fine
+    EXPECT_EQ(cluster_radius(g, center, members),
+              full_bfs_radius(g, center, members))
+        << "trial " << trial;
+  }
+}
+
+TEST(ClusterRadius, CenterNeedNotBeAMember) {
+  const Graph g = build::path(10);
+  const std::vector<NodeId> members = {6, 7, 3};
+  EXPECT_EQ(cluster_radius(g, 5, members), 2);
+  EXPECT_EQ(cluster_radius(g, 5, members), full_bfs_radius(g, 5, members));
+  EXPECT_EQ(cluster_radius(g, 5, {}), 0);
+}
+
+TEST(ClusterRadius, MembersInAnotherComponentAreSkipped) {
+  GraphBuilder b;
+  b.add_nodes(8);
+  for (NodeId v = 0; v + 1 < 4; ++v) b.add_edge(v, v + 1);  // path 0-1-2-3
+  for (NodeId v = 4; v + 1 < 8; ++v) b.add_edge(v, v + 1);  // path 4-5-6-7
+  const Graph g = std::move(b).build();
+  const std::vector<NodeId> members = {1, 2, 7, 5};
+  EXPECT_EQ(cluster_radius(g, 0, members), 2);
+  EXPECT_EQ(cluster_radius(g, 0, members), full_bfs_radius(g, 0, members));
+  EXPECT_EQ(cluster_radius(g, 0, std::vector<NodeId>{6, 7}), 0);
+  // Scratch from the call that never reached its members is clean again.
+  EXPECT_EQ(cluster_radius(g, 4, members), 3);
+}
+
+TEST(ClusterRadius, NetworkDecompositionRadiusMatchesFullBfs) {
+  for (const std::string fam : {"regular", "tree", "cycle"}) {
+    const Graph g = build::family(fam, 1024, 3, 2);
+    const IdMap ids = shuffled_ids(g, 3);
+    const Decomposition d = network_decomposition(g, ids, 11);
+    int expect = 0;
+    for (NodeId c = 0; c < g.num_nodes(); ++c) {
+      std::vector<NodeId> members;
+      for (NodeId v = 0; v < g.num_nodes(); ++v)
+        if (d.cluster[v] == c) members.push_back(v);
+      if (!members.empty())
+        expect = std::max(expect, full_bfs_radius(g, c, members));
+    }
+    EXPECT_EQ(d.max_cluster_radius, expect) << fam;
+  }
+}
+
+// Sweep rounds over the deterministic carving decomposition, as computed by
+// the full-BFS radius bookkeeping the early-stopping search replaced.
+TEST(Derandomize, CarvingSweepRoundsArePinned) {
+  struct Row {
+    const char* family;
+    std::size_t n;
+    int sweep_rounds;
+  };
+  for (const Row& row : {Row{"cycle", 512, 6}, Row{"cycle", 2048, 6},
+                         Row{"regular", 512, 13}, Row{"regular", 2048, 17},
+                         Row{"tree", 512, 12}, Row{"tree", 2048, 12},
+                         Row{"bounded", 512, 11}, Row{"bounded", 2048, 11}}) {
+    const Graph g = build::family(row.family, row.n, 3, 1);
+    const IdMap ids = shuffled_ids(g, 5);
+    const Decomposition d = carving_decomposition(g, ids);
+    const auto res = solve_by_decomposition(g, d, mis_completion(ids));
+    EXPECT_EQ(res.sweep_rounds, row.sweep_rounds)
+        << row.family << " n=" << row.n;
+  }
 }
 
 TEST(Derandomize, EmptyGraph) {
