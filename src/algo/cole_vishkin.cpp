@@ -140,10 +140,7 @@ ColeVishkinResult cole_vishkin_3color(const Graph& g, const IdMap& ids,
 
 
 bool graph_oriented_cycle(const Graph& g) {
-  if (g.num_nodes() == 0) return false;
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (g.is_self_loop(e)) return false;
-  }
+  if (g.num_nodes() == 0 || !g.loop_free()) return false;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (g.degree(v) != 2) return false;
   }

@@ -80,8 +80,7 @@ ColorReduceResult reduce_to_degree_plus_one(const Graph& g,
                                             int num_colors,
                                             MessageEngineStats* stats) {
   PADLOCK_REQUIRE(colors.size() == g.num_nodes());
-  for (EdgeId e = 0; e < g.num_edges(); ++e)
-    PADLOCK_REQUIRE(!g.is_self_loop(e));
+  PADLOCK_REQUIRE(g.loop_free());
   for (NodeId v = 0; v < g.num_nodes(); ++v)
     PADLOCK_REQUIRE(colors[v] >= 1 && colors[v] <= num_colors);
   const int palette = g.max_degree() + 1;
@@ -99,8 +98,7 @@ ColorReduceResult reduce_to_degree_plus_one(const Graph& g,
 }
 
 NodeMap<int> greedy_distance2_coloring(const Graph& g, int* num_colors_out) {
-  for (EdgeId e = 0; e < g.num_edges(); ++e)
-    PADLOCK_REQUIRE(!g.is_self_loop(e));
+  PADLOCK_REQUIRE(g.loop_free());
   NodeMap<int> colors(g, 0);
   int max_used = 0;
   std::unordered_set<int> used;
@@ -126,8 +124,7 @@ NodeMap<int> greedy_distance2_coloring(const Graph& g, int* num_colors_out) {
 NodeMap<int> greedy_distance_coloring(const Graph& g, int k,
                                       int* num_colors_out) {
   PADLOCK_REQUIRE(k >= 1);
-  for (EdgeId e = 0; e < g.num_edges(); ++e)
-    PADLOCK_REQUIRE(!g.is_self_loop(e));
+  PADLOCK_REQUIRE(g.loop_free());
   NodeMap<int> colors(g, 0);
   int max_used = 0;
   std::vector<NodeId> frontier, next;

@@ -168,8 +168,7 @@ std::uint64_t linial_step_palette(std::uint64_t K, int max_degree) {
 LinialResult linial_color(const Graph& g, const IdMap& ids,
                           std::uint64_t id_space) {
   PADLOCK_REQUIRE(ids_valid(g, ids));
-  for (EdgeId e = 0; e < g.num_edges(); ++e)
-    PADLOCK_REQUIRE(!g.is_self_loop(e));
+  PADLOCK_REQUIRE(g.loop_free());
   const int delta = std::max(1, g.max_degree());
   const auto n = g.num_nodes();
 

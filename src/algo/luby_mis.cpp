@@ -104,8 +104,7 @@ std::int64_t luby_round_budget(const Graph& g) {
 
 void check_luby_preconditions(const Graph& g, const IdMap& ids) {
   PADLOCK_REQUIRE(ids_valid(g, ids));
-  for (EdgeId e = 0; e < g.num_edges(); ++e)
-    PADLOCK_REQUIRE(!g.is_self_loop(e));
+  PADLOCK_REQUIRE(g.loop_free());
 }
 
 MisResult collect(const Graph& g, const LubyAlg& alg, int rounds) {

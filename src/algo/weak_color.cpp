@@ -94,8 +94,7 @@ WeakColorResult weak_2color(const Graph& g, const IdMap& ids,
   WeakColorResult res;
   res.colors = NodeMap<int>(n, 1);
   if (n == 0) return res;
-  for (EdgeId e = 0; e < g.num_edges(); ++e)
-    PADLOCK_REQUIRE(!g.is_self_loop(e));
+  PADLOCK_REQUIRE(g.loop_free());
 
   const LinialResult lin = linial_color(g, ids, id_space);
   // Chains strictly decrease the proper color, so they stabilize after

@@ -134,11 +134,6 @@ AlgorithmRegistry::pairs() const {
   return out;
 }
 
-bool graph_loop_free(const Graph& g) {
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (g.is_self_loop(e)) return false;
-  }
-  return true;
-}
+bool graph_loop_free(const Graph& g) { return g.loop_free(); }
 
 }  // namespace padlock

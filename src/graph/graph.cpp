@@ -58,7 +58,7 @@ Graph GraphBuilder::build() && {
   g.ports_ = std::move(ports);
   g.endpoints_ = std::move(endpoints_);
   g.side_port_ = std::move(side_port);
-  g.finalize_peer_ports();
+  g.finalize();
   return g;
 }
 
@@ -76,11 +76,11 @@ Graph Graph::adopt(Slab<std::size_t> first_port, Slab<HalfEdge> ports,
   g.endpoints_ = std::move(endpoints);
   g.side_port_ = std::move(side_port);
   g.max_degree_ = max_degree;
-  g.finalize_peer_ports();
+  g.finalize();
   return g;
 }
 
-void Graph::finalize_peer_ports() {
+void Graph::finalize() {
   const std::size_t slots = ports_.size();
   PADLOCK_REQUIRE(slots <= std::numeric_limits<std::uint32_t>::max());
   peer_port_.resize(slots);
@@ -90,6 +90,9 @@ void Graph::finalize_peer_ports() {
     peer_port_[i] = static_cast<std::uint32_t>(
         first_port_[w] + static_cast<std::size_t>(port_of(o)));
   }
+  loop_free_ = std::none_of(
+      endpoints_.data(), endpoints_.data() + endpoints_.size(),
+      [](const std::pair<NodeId, NodeId>& uv) { return uv.first == uv.second; });
   // Assembly is the one single-threaded moment of a graph's life, so the
   // partition memo is created here (lazily creating it from the const
   // partition() accessor would race concurrent sweep rows).

@@ -175,6 +175,11 @@ class Graph {
     return u == v;
   }
 
+  /// True iff no edge is a self-loop. Computed once at assembly and copied
+  /// with the graph, so the precondition checks of the registry and the
+  /// algorithms cost O(1) instead of an O(m) scan each.
+  [[nodiscard]] bool loop_free() const { return loop_free_; }
+
   /// The node at the other end of half-edge h.
   [[nodiscard]] NodeId node_across(HalfEdge h) const {
     return endpoint(h.edge, 1 - h.side);
@@ -258,8 +263,9 @@ class Graph {
  private:
   friend class GraphBuilder;
 
-  /// Fills peer_port_ from the assembled CSR slabs (see peer_port()).
-  void finalize_peer_ports();
+  /// Fills what is derived from the assembled CSR slabs: peer_port_,
+  /// loop_free_, and the partition memo.
+  void finalize();
 
   // CSR layout of ports: ports of node v live at
   // ports_[first_port_[v] .. first_port_[v+1]).
@@ -269,11 +275,12 @@ class Graph {
   // Per edge: (port at side-0 endpoint, port at side-1 endpoint).
   Slab<std::pair<int, int>> side_port_;
   std::vector<std::uint32_t> peer_port_;
-  // Created at assembly (finalize_peer_ports); shared by copies so the
+  // Created at assembly (finalize); shared by copies so the
   // partition memo travels with GraphCache hits. Null only on a
   // default-constructed Graph.
   std::shared_ptr<PartitionStore> partitions_;
   int max_degree_ = 0;
+  bool loop_free_ = true;
 };
 
 /// Incremental builder; the only place where graph topology is mutable.

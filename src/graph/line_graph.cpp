@@ -9,7 +9,7 @@ namespace padlock {
 
 LineGraph line_graph(const Graph& g) {
   const std::size_t m = g.num_edges();
-  for (EdgeId e = 0; e < m; ++e) PADLOCK_REQUIRE(!g.is_self_loop(e));
+  PADLOCK_REQUIRE(g.loop_free());
 
   GraphBuilder b(m);
   b.add_nodes(m);

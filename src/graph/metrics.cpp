@@ -75,8 +75,7 @@ int diameter(const Graph& g) {
 std::optional<int> girth(const Graph& g) {
   std::optional<int> best;
   // Self-loops and parallel edges give the immediate answers 1 and 2.
-  for (EdgeId e = 0; e < g.num_edges(); ++e)
-    if (g.is_self_loop(e)) return 1;
+  if (!g.loop_free()) return 1;
 
   std::vector<int> dist(g.num_nodes(), -1);
   std::vector<EdgeId> via(g.num_nodes(), kNoEdge);

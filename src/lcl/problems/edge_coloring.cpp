@@ -40,8 +40,8 @@ NeLabeling edge_colors_to_labeling(const Graph& g, const EdgeMap<int>& colors) {
 
 bool is_proper_edge_coloring(const Graph& g, const EdgeMap<int>& colors,
                              int k) {
+  if (!g.loop_free()) return false;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (g.is_self_loop(e)) return false;
     if (colors[e] < 1 || colors[e] > k) return false;
   }
   for (NodeId v = 0; v < g.num_nodes(); ++v) {

@@ -1,12 +1,15 @@
 #include "local/ids.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
+#include <mutex>
 #include <unordered_set>
 #include <vector>
 
 #include "graph/metrics.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace padlock {
 
@@ -68,14 +71,62 @@ IdMap bfs_adversarial_ids(const Graph& g) {
   return ids;
 }
 
-bool ids_valid(const Graph& g, const IdMap& ids) {
-  if (ids.size() != g.num_nodes()) return false;
-  std::unordered_set<std::uint64_t> seen;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (ids[v] < 1) return false;
-    if (!seen.insert(ids[v]).second) return false;
+namespace {
+
+// Runs fn over [0, n) in kIdCheckChunk-node chunks: through the pool when
+// there is more than one chunk, inline on the caller otherwise.
+void for_id_chunks(std::size_t n, const ThreadPool::RangeFn& fn) {
+  if (n <= kIdCheckChunk) {
+    fn(0, n);
+  } else {
+    parallel_for(0, n, kIdCheckChunk, fn);
   }
-  return true;
+}
+
+}  // namespace
+
+bool ids_valid(const Graph& g, const IdMap& ids) {
+  const std::size_t n = g.num_nodes();
+  if (ids.size() != n) return false;
+  if (n == 0) return true;
+  const std::uint64_t* id = &*ids.begin();
+
+  std::mutex mu;
+  std::uint64_t min_id = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t max_id = 0;
+  for_id_chunks(n, [&](std::size_t b, std::size_t e) {
+    std::uint64_t lo = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t hi = 0;
+    for (std::size_t v = b; v < e; ++v) {
+      lo = std::min(lo, id[v]);
+      hi = std::max(hi, id[v]);
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    min_id = std::min(min_id, lo);
+    max_id = std::max(max_id, hi);
+  });
+  if (min_id < 1) return false;
+
+  if (max_id > std::uint64_t{64} * n) {
+    std::vector<std::uint64_t> sorted(id, id + n);
+    std::sort(sorted.begin(), sorted.end());
+    return std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
+  }
+
+  std::vector<std::uint64_t> bits(max_id / 64 + 1, 0);
+  std::atomic<bool> duplicate{false};
+  for_id_chunks(n, [&](std::size_t b, std::size_t e) {
+    if (duplicate.load(std::memory_order_relaxed)) return;
+    for (std::size_t v = b; v < e; ++v) {
+      const std::uint64_t mask = std::uint64_t{1} << (id[v] % 64);
+      std::atomic_ref<std::uint64_t> word(bits[id[v] / 64]);
+      if (word.fetch_or(mask, std::memory_order_relaxed) & mask) {
+        duplicate.store(true, std::memory_order_relaxed);
+        return;
+      }
+    }
+  });
+  return !duplicate.load(std::memory_order_relaxed);
 }
 
 }  // namespace padlock

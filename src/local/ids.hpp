@@ -5,6 +5,7 @@
 // must work for *every* assignment, so tests exercise several.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "graph/graph.hpp"
@@ -32,7 +33,19 @@ IdMap sparse_ids(const Graph& g, std::uint64_t seed);
 /// distance), which maximizes the pain for greedy symmetry breaking.
 IdMap bfs_adversarial_ids(const Graph& g);
 
-/// True iff all ids are distinct and >= 1.
+/// Nodes per chunk of ids_valid's passes. An input of at most one chunk
+/// runs inline on the caller (no pool dispatch), which covers sweep rows
+/// and serve requests; larger inputs spread their chunks over the pool.
+inline constexpr std::size_t kIdCheckChunk = std::size_t{1} << 15;
+
+/// True iff there is one id per node, every id is >= 1, and all ids are
+/// distinct. Two thread-pooled passes: the first finds the largest id and
+/// any zero. When max_id <= 64·n (sequential, shuffled and adversarial
+/// ids) the second marks every id in a bitmap of max_id + 1 bits with an
+/// atomic fetch_or, and a bit already set is a duplicate: O(n) in total.
+/// Otherwise (sparse ids) it sorts a copy and looks for equal neighbors,
+/// O(n log n) on one thread. Either way the scratch is at most 8n bytes
+/// plus one word.
 bool ids_valid(const Graph& g, const IdMap& ids);
 
 }  // namespace padlock

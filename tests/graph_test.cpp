@@ -56,6 +56,31 @@ TEST(Graph, SelfLoopUsesTwoPorts) {
   EXPECT_EQ(g.port_of(HalfEdge{e, 1}), 1);
 }
 
+TEST(Graph, LoopFreedomIsComputedAtAssemblyAndCopied) {
+  EXPECT_TRUE(Graph().loop_free());
+  EXPECT_TRUE(GraphBuilder().build().loop_free());
+
+  GraphBuilder b;
+  b.add_nodes(4);
+  b.add_edge(0, 1);
+  b.add_edge(1, 2);
+  b.add_edge(2, 3);
+  b.add_edge(1, 2);  // parallel edges are not loops
+  const Graph simple = std::move(b).build();
+  EXPECT_TRUE(simple.loop_free());
+
+  GraphBuilder c;
+  c.add_nodes(4);
+  c.add_edge(0, 1);
+  c.add_edge(1, 2);
+  c.add_edge(3, 3);  // the one self-loop
+  c.add_edge(2, 3);
+  const Graph looped = std::move(c).build();
+  EXPECT_FALSE(looped.loop_free());
+  const Graph copy = looped;
+  EXPECT_FALSE(copy.loop_free());
+}
+
 TEST(Graph, ParallelEdgesDistinct) {
   GraphBuilder b;
   b.add_nodes(2);

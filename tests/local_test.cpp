@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <unordered_set>
 
 #include "graph/builders.hpp"
 #include "local/engine.hpp"
@@ -9,6 +11,7 @@
 #include "local/message_engine.hpp"
 #include "local/view.hpp"
 #include "support/check.hpp"
+#include "support/thread_pool.hpp"
 
 namespace padlock {
 namespace {
@@ -61,6 +64,154 @@ TEST(Ids, RejectsDuplicates) {
   ids[2] = 2;
   EXPECT_FALSE(ids_valid(g, ids));
 }
+
+// ids_valid against a reference implementation kept here: the plain
+// hash-set scan it replaced. Run at 1 thread (every pass inline) and at 4
+// (inputs above one kIdCheckChunk spread over the pool, so the bitmap's
+// fetch_or is a shared write under TSan).
+bool reference_ids_valid(const Graph& g, const IdMap& ids) {
+  if (ids.size() != g.num_nodes()) return false;
+  std::unordered_set<std::uint64_t> seen;
+  seen.reserve(ids.size());
+  for (const std::uint64_t id : ids) {
+    if (id < 1 || !seen.insert(id).second) return false;
+  }
+  return true;
+}
+
+class IdsValidOracle : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    saved_threads_ = exec_context().threads;
+    exec_context().threads = GetParam();
+  }
+  void TearDown() override { exec_context().threads = saved_threads_; }
+
+  static void expect(const Graph& g, const IdMap& ids, bool valid,
+                     const std::string& what) {
+    SCOPED_TRACE(what + " at n=" + std::to_string(g.num_nodes()));
+    ASSERT_EQ(reference_ids_valid(g, ids), valid);
+    EXPECT_EQ(ids_valid(g, ids), valid);
+  }
+
+ private:
+  int saved_threads_ = 1;
+};
+
+TEST_P(IdsValidOracle, EmptyGraphAndSizeMismatch) {
+  const Graph empty;
+  expect(empty, IdMap(0, 1), true, "empty");
+  expect(empty, IdMap(1, 1), false, "ids on an empty graph");
+  const Graph g = build::cycle(kIdCheckChunk + 5);
+  const IdMap ids = sequential_ids(g);
+  IdMap longer(g.num_nodes() + 1, 0);
+  IdMap shorter(g.num_nodes() - 1, 0);
+  for (std::size_t v = 0; v < longer.size(); ++v)
+    longer[static_cast<NodeId>(v)] = v + 1;
+  for (std::size_t v = 0; v < shorter.size(); ++v)
+    shorter[static_cast<NodeId>(v)] = ids[static_cast<NodeId>(v)];
+  expect(g, longer, false, "one id too many");
+  expect(g, shorter, false, "one id too few");
+}
+
+TEST_P(IdsValidOracle, ZeroIdAnywhere) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{100},
+                              3 * kIdCheckChunk + 1}) {
+    const Graph g = build::cycle(n);
+    for (const std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
+      IdMap ids = shuffled_ids(g, 3);
+      ids[static_cast<NodeId>(at)] = 0;
+      expect(g, ids, false, "zero at " + std::to_string(at));
+    }
+  }
+}
+
+TEST_P(IdsValidOracle, DuplicatesAtTheEndsAndAroundEveryChunkBoundary) {
+  const std::size_t n = 4 * kIdCheckChunk + 123;  // five chunks
+  const Graph g = build::cycle(n);
+  // Dense (bitmap pass) and sparse (sort pass) bases.
+  for (const bool sparse : {false, true}) {
+    const IdMap base = sparse ? sparse_ids(g, 9) : shuffled_ids(g, 9);
+    const std::string mode = sparse ? "sparse " : "shuffled ";
+    expect(g, base, true, mode + "base");
+    const auto dup = [&](std::size_t from, std::size_t to) {
+      IdMap ids = base;
+      ids[static_cast<NodeId>(to)] = ids[static_cast<NodeId>(from)];
+      expect(g, ids, false,
+             mode + "dup " + std::to_string(from) + "->" + std::to_string(to));
+    };
+    dup(1, 0);
+    dup(n - 2, n - 1);
+    dup(0, n - 1);
+    for (std::size_t b = kIdCheckChunk; b < n; b += kIdCheckChunk) {
+      dup(b - 1, b);      // straddles the boundary
+      dup(b - 2, b - 1);  // both just before it
+      dup(b, b + 1);      // both just after it
+      dup(0, b);          // first chunk against the next chunk's first id
+    }
+  }
+}
+
+TEST_P(IdsValidOracle, BitmapToSortSwitchAtSixtyFourN) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{64},
+                              2 * kIdCheckChunk}) {
+    const Graph g = build::cycle(n);
+    const std::uint64_t limit = std::uint64_t{64} * n;
+    for (const std::uint64_t top : {limit, limit + 1}) {
+      const std::string what = "max id " + std::to_string(top);
+      IdMap ids = sequential_ids(g);
+      ids[static_cast<NodeId>(n - 1)] = top;
+      expect(g, ids, true, what);
+      if (n == 1) continue;
+      IdMap twice = ids;
+      twice[0] = top;
+      expect(g, twice, false, what + " twice");
+      IdMap low_dup = ids;
+      low_dup[0] = ids[static_cast<NodeId>(n / 2)];
+      expect(g, low_dup, false, what + " with a low duplicate");
+    }
+  }
+}
+
+TEST_P(IdsValidOracle, LargestRepresentableId) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7},
+                              kIdCheckChunk + 1}) {
+    const Graph g = build::cycle(n);
+    IdMap ids = sequential_ids(g);
+    ids[0] = kMax;
+    expect(g, ids, true, "UINT64_MAX once");
+    if (n == 1) continue;
+    ids[static_cast<NodeId>(n - 1)] = kMax;
+    expect(g, ids, false, "UINT64_MAX twice");
+  }
+}
+
+TEST_P(IdsValidOracle, EveryStrategyUpToTwoToTheSeventeen) {
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{2}, std::size_t{1000}, kIdCheckChunk,
+        kIdCheckChunk + 1, std::size_t{1} << 17}) {
+    const Graph g = build::cycle(n);
+    const std::pair<const char*, IdMap> strategies[] = {
+        {"sequential", sequential_ids(g)},
+        {"shuffled", shuffled_ids(g, 21)},
+        {"sparse", sparse_ids(g, 21)},
+        {"adversarial", bfs_adversarial_ids(g)},
+    };
+    for (const auto& [name, ids] : strategies) {
+      expect(g, ids, true, name);
+      if (n == 1) continue;
+      IdMap dup = ids;
+      dup[static_cast<NodeId>(n / 3)] = dup[static_cast<NodeId>(2 * n / 3)];
+      expect(g, dup, false, std::string(name) + " with a duplicate");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, IdsValidOracle, ::testing::Values(1, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "threads" + std::to_string(info.param);
+                         });
 
 TEST(LocalView, StrictAllowsBallReads) {
   Graph g = build::cycle(8);

@@ -9,9 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "core/graph_cache.hpp"
 #include "core/registry.hpp"
 #include "core/runner.hpp"
 #include "graph/builders.hpp"
+#include "local/ids.hpp"
+#include "support/check.hpp"
 
 namespace padlock {
 namespace {
@@ -124,6 +127,67 @@ TEST(Runner, StatsSurviveTheTrip) {
   EXPECT_GE(outcome.stats.get_or("linial_rounds", -1), 0);
   EXPECT_GE(outcome.stats.get_or("reduction_rounds", -1), 0);
   EXPECT_FALSE(outcome.stats.str().empty());
+}
+
+// ---- preconditions ---------------------------------------------------------
+
+TEST(Registry, LoopFreePreconditionReadsTheGraphMemo) {
+  GraphCache cache;
+  // cycle@1 is a single node with a self-loop; regular is simple.
+  const Graph looped = *cache.get_or_build("cycle", 1, 3, 0);
+  const Graph simple = *cache.get_or_build("regular", 64, 3, 5);
+  EXPECT_FALSE(looped.loop_free());
+  EXPECT_FALSE(graph_loop_free(looped));
+  EXPECT_TRUE(simple.loop_free());
+  EXPECT_TRUE(graph_loop_free(simple));
+
+  // A cache hit hands out the same graph, memo included.
+  bool hit = false;
+  const auto again = cache.get_or_build("cycle", 1, 3, 0, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_FALSE(again->loop_free());
+  EXPECT_THROW(run("mis", "luby", looped), RegistryError);
+}
+
+// ---- the id contract at the runner boundary --------------------------------
+
+TEST(Runner, InvalidIdsThrowBeforeSolveForEveryPair) {
+  const auto menu = small_graph_menu();
+  for (const auto& [problem, algo] : AlgorithmRegistry::instance().pairs()) {
+    const Graph* g = nullptr;
+    for (const auto& entry : menu) {
+      if (!algo->precondition || algo->precondition(entry.graph)) {
+        g = &entry.graph;
+        break;
+      }
+    }
+    ASSERT_NE(g, nullptr) << problem->name << '/' << algo->name;
+    SCOPED_TRACE(problem->name + "/" + algo->name);
+
+    bool solved = false;
+    AlgoSpec spy = *algo;
+    spy.solve = [&solved, algo = algo](const RunContext& ctx) {
+      solved = true;
+      return algo->solve(ctx);
+    };
+    const std::uint64_t id_space = g->num_nodes();
+
+    IdMap duplicated = sequential_ids(*g);
+    duplicated[1] = duplicated[0];
+    EXPECT_THROW(run_with_ids(*problem, spy, *g, duplicated, id_space),
+                 ContractViolation);
+    EXPECT_FALSE(solved);
+
+    IdMap zero = sequential_ids(*g);
+    zero[0] = 0;
+    EXPECT_THROW(run_with_ids(*problem, spy, *g, zero, id_space),
+                 ContractViolation);
+    EXPECT_FALSE(solved);
+
+    // The spy does reach solve once the ids are valid.
+    (void)run_with_ids(*problem, spy, *g, sequential_ids(*g), id_space);
+    EXPECT_TRUE(solved);
+  }
 }
 
 // ---- dispatch error paths --------------------------------------------------
