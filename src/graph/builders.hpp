@@ -4,6 +4,26 @@
 // constructions and our benches: cycles and paths (Θ(log* n) problems),
 // random and high-girth Δ-regular graphs (sinkless orientation), complete
 // binary trees (gadget scaffolding), and toroidal grids.
+//
+// Every builder assembles through GraphBuilder, whose port-order contract
+// (graph/graph.hpp) fixes the instance down to port numbering: edges are
+// numbered in the order the builder adds them, and each node's ports follow
+// that order, with u on side 0 and v on side 1 of edge {u,v}. The
+// golden maps under tests/data depend on this, and
+// tests/data/builder_reference_map.json pins it per family.
+//
+// Costs, for n nodes of degree d:
+//   path, cycle, tree, torus   O(n)
+//   random_regular             O(n·d)
+//   random_regular_simple      O(n·d) expected: one linear scan finds the
+//                              loops and parallel edges, and a flat pair
+//                              table checks each repairing switch in O(1)
+//   random_bounded_degree,
+//   random_bounded_degree_simple
+//                              O(n·d): a bounded number of sampling attempts
+//   high_girth_regular         O(n·B) for the initial short-cycle scan, on
+//                              the pool, where B is the size of a ball of
+//                              radius girth/2; then O(B²) per switch
 #pragma once
 
 #include <cstdint>

@@ -7,52 +7,53 @@
 
 namespace padlock {
 
-GraphBuilder::GraphBuilder(std::size_t reserve_nodes) {
-  node_ports_.reserve(reserve_nodes);
+GraphBuilder::GraphBuilder(std::size_t reserve_edges) {
+  endpoints_.reserve(reserve_edges);
 }
 
-NodeId GraphBuilder::add_node() {
-  node_ports_.emplace_back();
-  return static_cast<NodeId>(node_ports_.size() - 1);
-}
+NodeId GraphBuilder::add_node() { return add_nodes(1); }
 
 NodeId GraphBuilder::add_nodes(std::size_t count) {
-  const auto first = static_cast<NodeId>(node_ports_.size());
-  node_ports_.resize(node_ports_.size() + count);
+  const auto first = static_cast<NodeId>(num_nodes_);
+  num_nodes_ += count;
   return first;
 }
 
 EdgeId GraphBuilder::add_edge(NodeId u, NodeId v) {
-  PADLOCK_REQUIRE(u < node_ports_.size());
-  PADLOCK_REQUIRE(v < node_ports_.size());
+  PADLOCK_REQUIRE(u < num_nodes_);
+  PADLOCK_REQUIRE(v < num_nodes_);
   const auto e = static_cast<EdgeId>(endpoints_.size());
   endpoints_.emplace_back(u, v);
-  node_ports_[u].push_back(HalfEdge{e, 0});
-  node_ports_[v].push_back(HalfEdge{e, 1});
   return e;
 }
 
 Graph GraphBuilder::build() && {
   Graph g;
-  std::vector<std::size_t> first_port(node_ports_.size() + 1, 0);
-  std::size_t total = 0;
-  for (std::size_t v = 0; v < node_ports_.size(); ++v) {
-    first_port[v] = total;
-    total += node_ports_[v].size();
-    g.max_degree_ =
-        std::max(g.max_degree_, static_cast<int>(node_ports_[v].size()));
+  const std::size_t n = num_nodes_;
+  // Counting sort of the 2m half-edges by owning node: degrees, prefix sum,
+  // then one fill in edge order, which is exactly the per-node insertion
+  // order (a self-loop's side 0 lands right before its side 1).
+  std::vector<std::size_t> first_port(n + 1, 0);
+  for (const auto& [u, v] : endpoints_) {
+    ++first_port[u + 1];
+    ++first_port[v + 1];
   }
-  first_port[node_ports_.size()] = total;
-  std::vector<HalfEdge> ports;
-  ports.reserve(total);
-  std::vector<std::pair<int, int>> side_port(endpoints_.size(), {-1, -1});
-  for (std::size_t v = 0; v < node_ports_.size(); ++v) {
-    for (std::size_t p = 0; p < node_ports_[v].size(); ++p) {
-      const HalfEdge h = node_ports_[v][p];
-      ports.push_back(h);
-      auto& sp = side_port[h.edge];
-      (h.side == 0 ? sp.first : sp.second) = static_cast<int>(p);
-    }
+  for (std::size_t v = 0; v < n; ++v) {
+    g.max_degree_ =
+        std::max(g.max_degree_, static_cast<int>(first_port[v + 1]));
+    first_port[v + 1] += first_port[v];
+  }
+  std::vector<std::size_t> cursor(first_port.begin(), first_port.end() - 1);
+  std::vector<HalfEdge> ports(2 * endpoints_.size());
+  std::vector<std::pair<int, int>> side_port(endpoints_.size());
+  for (std::size_t e = 0; e < endpoints_.size(); ++e) {
+    const auto [u, v] = endpoints_[e];
+    const std::size_t pu = cursor[u]++;
+    ports[pu] = HalfEdge{static_cast<EdgeId>(e), 0};
+    const std::size_t pv = cursor[v]++;
+    ports[pv] = HalfEdge{static_cast<EdgeId>(e), 1};
+    side_port[e] = {static_cast<int>(pu - first_port[u]),
+                    static_cast<int>(pv - first_port[v])};
   }
   g.first_port_ = std::move(first_port);
   g.ports_ = std::move(ports);

@@ -284,10 +284,19 @@ class Graph {
 };
 
 /// Incremental builder; the only place where graph topology is mutable.
+///
+/// Port-order contract: each node's ports are numbered in edge-insertion
+/// order, an edge {u,v} taking side 0 at u and side 1 at v; a self-loop
+/// takes two consecutive ports of its node, side 0 then side 1. The
+/// builder records only the edge list; build() assembles the CSR slabs in
+/// O(n + m) with one counting sort by endpoint.
 class GraphBuilder {
  public:
   GraphBuilder() = default;
-  explicit GraphBuilder(std::size_t reserve_nodes);
+  /// Reserves room for `reserve_edges` edges; the edge list still grows on
+  /// demand. Callers usually pass the node count, which is about right for
+  /// paths, cycles and trees.
+  explicit GraphBuilder(std::size_t reserve_edges);
 
   /// Adds an isolated node and returns its id (ids are dense, 0-based).
   NodeId add_node();
@@ -295,19 +304,18 @@ class GraphBuilder {
   /// Adds `count` nodes; returns the id of the first.
   NodeId add_nodes(std::size_t count);
 
-  /// Adds an edge {u,v}; u gets side 0, v side 1. Ports are assigned per
-  /// node in edge-insertion order. Self-loops (u == v) are allowed and use
-  /// two consecutive ports of u.
+  /// Adds an edge {u,v}; u gets side 0, v side 1 (see the port-order
+  /// contract above).
   EdgeId add_edge(NodeId u, NodeId v);
 
-  [[nodiscard]] std::size_t num_nodes() const { return node_ports_.size(); }
+  [[nodiscard]] std::size_t num_nodes() const { return num_nodes_; }
   [[nodiscard]] std::size_t num_edges() const { return endpoints_.size(); }
 
   /// Finalizes the graph. The builder may not be reused afterwards.
   [[nodiscard]] Graph build() &&;
 
  private:
-  std::vector<std::vector<HalfEdge>> node_ports_;
+  std::size_t num_nodes_ = 0;
   std::vector<std::pair<NodeId, NodeId>> endpoints_;
 };
 

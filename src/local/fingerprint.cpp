@@ -99,6 +99,24 @@ std::uint64_t node_map_fingerprint(const NodeMap<int>& m) {
   return h;
 }
 
+std::uint64_t graph_fingerprint(const Graph& g) {
+  std::uint64_t h = kFnvBasis;
+  h = fnv1a(h, g.num_nodes());
+  h = fnv1a(h, g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto [u, v] = g.endpoints(e);
+    h = fnv1a(h, u);
+    h = fnv1a(h, v);
+  }
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (const HalfEdge p : g.incident(v)) {
+      h = fnv1a(h, p.edge);
+      h = fnv1a(h, static_cast<std::uint64_t>(p.side));
+    }
+  }
+  return h;
+}
+
 std::string view_fingerprint(const Graph& g, const IdMap& ids,
                              const NeLabeling* input, NodeId v, int radius) {
   const auto sig = refine({Decorated{&g, &ids, input}}, radius);

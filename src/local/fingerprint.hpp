@@ -32,6 +32,11 @@ namespace padlock {
 /// The same digest over a per-node map (e.g. RoundReport::node_rounds).
 [[nodiscard]] std::uint64_t node_map_fingerprint(const NodeMap<int>& m);
 
+/// FNV-1a digest of a graph's topology and port numbering: n, m, the
+/// endpoints in edge order, then each node's (edge, side) port list in
+/// port order. Equal digests mean the same instance down to port order.
+[[nodiscard]] std::uint64_t graph_fingerprint(const Graph& g);
+
 /// Canonical encoding of view(v, radius). `input` may be null (no input
 /// labels). Equality is computed by levelwise signature interning, so two
 /// fingerprints are comparable iff they come from calls with the *same*

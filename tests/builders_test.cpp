@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "algo/cole_vishkin.hpp"
 #include "graph/builders.hpp"
 #include "graph/metrics.hpp"
@@ -118,6 +122,39 @@ INSTANTIATE_TEST_SUITE_P(Targets, HighGirthTest,
                                            std::tuple{256, 3, 8},
                                            std::tuple{256, 4, 6},
                                            std::tuple{512, 3, 10}));
+
+TEST(Builders, HighGirthAtScaleMeetsTarget) {
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    const Graph g = build::high_girth_regular(std::size_t{1} << 14, 3, 9, seed);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) ASSERT_EQ(g.degree(v), 3);
+    const auto gi = girth(g);
+    ASSERT_TRUE(gi.has_value()) << "seed " << seed;
+    EXPECT_GE(*gi, 9) << "seed " << seed;
+  }
+}
+
+TEST(Builders, HighGirthRefusesAnOddDegreeSum) {
+  EXPECT_THROW((void)build::high_girth_regular(25, 3, 6, 1), ContractViolation);
+}
+
+TEST(Builders, RandomRegularSimpleAtScaleHasNoLoopOrParallelEdge) {
+  for (const std::uint64_t seed : {1ull, 2ull}) {
+    const Graph g = build::random_regular_simple(std::size_t{1} << 16, 3, seed);
+    // Checked by sorting the packed (min, max) pairs, independently of the
+    // hash table make_simple uses.
+    std::vector<std::uint64_t> pairs;
+    pairs.reserve(g.num_edges());
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      const auto [u, v] = g.endpoints(e);
+      ASSERT_NE(u, v) << "self-loop at edge " << e;
+      pairs.push_back(std::uint64_t{std::min(u, v)} << 32 | std::max(u, v));
+    }
+    std::sort(pairs.begin(), pairs.end());
+    EXPECT_EQ(std::adjacent_find(pairs.begin(), pairs.end()), pairs.end())
+        << "parallel edge, seed " << seed;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) ASSERT_EQ(g.degree(v), 3);
+  }
+}
 
 TEST(Builders, RandomBoundedDegreeRespectsCap) {
   Graph g = build::random_bounded_degree(200, 4, 0.8, 3);

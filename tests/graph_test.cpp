@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "graph/graph.hpp"
 #include "graph/labels.hpp"
+#include "support/rng.hpp"
 
 namespace padlock {
 namespace {
@@ -144,6 +150,109 @@ TEST(Graph, IncidentListsAllHalfEdges) {
   }
   EXPECT_EQ(port, g.degree(0));
   EXPECT_TRUE(g.incident(1).size() == 1 && g.incident(1)[0].side == 1);
+}
+
+// GraphBuilder oracle: the port layout written the naive way, one vector
+// per node that each add_edge appends to (a self-loop appends side 0, then
+// side 1). build() must produce exactly these port lists, and side_port,
+// peer_port and max_degree must agree with them.
+class NaiveBuilder {
+ public:
+  NodeId add_node() {
+    ports_.emplace_back();
+    return static_cast<NodeId>(ports_.size() - 1);
+  }
+  EdgeId add_edge(NodeId u, NodeId v) {
+    const auto e = static_cast<EdgeId>(edges_++);
+    ports_[u].push_back(HalfEdge{e, 0});
+    ports_[v].push_back(HalfEdge{e, 1});
+    return e;
+  }
+  const std::vector<std::vector<HalfEdge>>& ports() const { return ports_; }
+  std::size_t num_edges() const { return edges_; }
+
+ private:
+  std::vector<std::vector<HalfEdge>> ports_;
+  std::size_t edges_ = 0;
+};
+
+void expect_matches_naive(const Graph& g, const NaiveBuilder& ref) {
+  const auto& ports = ref.ports();
+  ASSERT_EQ(g.num_nodes(), ports.size());
+  ASSERT_EQ(g.num_edges(), ref.num_edges());
+  int max_degree = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const int deg = static_cast<int>(ports[v].size());
+    max_degree = std::max(max_degree, deg);
+    ASSERT_EQ(g.degree(v), deg) << "node " << v;
+    for (int p = 0; p < deg; ++p) {
+      const HalfEdge h = g.incidence(v, p);
+      EXPECT_EQ(h, ports[v][static_cast<std::size_t>(p)])
+          << "node " << v << " port " << p;
+      EXPECT_EQ(g.node_at(h), v);
+      EXPECT_EQ(g.port_of(h), p);
+      const HalfEdge o = Graph::opposite(h);
+      EXPECT_EQ(g.peer_port()[g.port_offset(v) + static_cast<std::size_t>(p)],
+                g.port_offset(g.node_at(o)) +
+                    static_cast<std::size_t>(g.port_of(o)));
+    }
+  }
+  EXPECT_EQ(g.max_degree(), max_degree);
+}
+
+TEST(GraphBuilderOracle, RandomMultigraphsMatchPerNodeVectors) {
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
+    Rng rng(seed);
+    GraphBuilder b;
+    NaiveBuilder ref;
+    // Nodes arrive between edges, some nodes stay isolated, and the small
+    // node count forces self-loops and parallel edges.
+    for (int step = 0; step < 400; ++step) {
+      if (ref.ports().size() < 2 || rng.below(8) == 0) {
+        EXPECT_EQ(b.add_node(), ref.add_node());
+        continue;
+      }
+      const auto n = ref.ports().size();
+      const auto u = static_cast<NodeId>(rng.below(n));
+      const auto v = rng.below(5) == 0 ? u : static_cast<NodeId>(rng.below(n));
+      EXPECT_EQ(b.add_edge(u, v), ref.add_edge(u, v));
+    }
+    EXPECT_EQ(b.num_nodes(), ref.ports().size());
+    EXPECT_EQ(b.num_edges(), ref.num_edges());
+    expect_matches_naive(std::move(b).build(), ref);
+  }
+}
+
+TEST(GraphBuilderOracle, SelfLoopsTakeConsecutivePortsSideZeroFirst) {
+  GraphBuilder b;
+  NaiveBuilder ref;
+  for (int i = 0; i < 3; ++i) {
+    b.add_node();
+    ref.add_node();
+  }
+  for (const auto [u, v] : {std::pair{0u, 1u}, std::pair{1u, 1u},
+                            std::pair{1u, 0u}, std::pair{1u, 1u},
+                            std::pair{0u, 1u}}) {
+    b.add_edge(u, v);
+    ref.add_edge(u, v);
+  }
+  const Graph g = std::move(b).build();
+  expect_matches_naive(g, ref);
+  EXPECT_EQ(g.degree(1), 7);
+  EXPECT_EQ(g.degree(2), 0);
+  EXPECT_EQ(g.port_of(HalfEdge{1, 0}) + 1, g.port_of(HalfEdge{1, 1}));
+}
+
+TEST(GraphBuilderOracle, EdgelessGraphs) {
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7}}) {
+    GraphBuilder b;
+    NaiveBuilder ref;
+    b.add_nodes(n);
+    for (std::size_t i = 0; i < n; ++i) ref.add_node();
+    const Graph g = std::move(b).build();
+    expect_matches_naive(g, ref);
+    EXPECT_EQ(g.max_degree(), 0);
+  }
 }
 
 TEST(Labels, NodeMapIndexing) {
