@@ -6,22 +6,19 @@
 // serialization).
 //
 // Usage: bench_micro [--threads N] [--repeat R] [--sizes a,b,...]
-//                    [--engine-max-exp E] [--shards K]
-//                    [--json PATH] [--no-json]
+//                    [--engine-max-exp E] [--json PATH] [--no-json]
 //
 // --engine-max-exp caps the message-engine size ramp at n = 2^E (default
 // 22; CI passes 14 so the gate stays fast while local runs measure the
-// full memory-bound regime). --shards sets the shard count of the
-// engine/v3-pinned/* rows (default 4): from n = 2^14 up they run the same
-// ramp through the pinned worker-team executor and surface its
-// cross-shard traffic (cross_shard_msgs, halo_bytes) next to the inline
-// engine/v3/* rows.
+// full memory-bound regime).
 //
 // Wall-clock results are written machine-readably to BENCH_micro.json
 // (pair, n, rounds, wall_ns, threads) so the perf trajectory accumulates
 // across commits; the total wall line at the end is the number to compare
 // across --threads settings (the sweep parallelizes across runs, so
 // --threads $(nproc) vs --threads 1 measures the pool's scaling).
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -52,18 +49,44 @@
 #include "local/message_engine.hpp"
 #include "support/table.hpp"
 
-#include "geometric_halt.hpp"
-
 using namespace padlock;
 
 namespace {
+
+// The engine-bound ramp rule: one word per port per round, an add per
+// message, and a halting schedule that halves the frontier every round —
+// the Luby/propose-accept decay regime the active-set engine is built
+// for. The rule itself does almost no per-node work, so its rows measure
+// the executor rather than any algorithm.
+struct GeometricHalt {
+  using Message = std::uint64_t;
+  static constexpr bool kUniformSend = true;  // broadcast each round
+  std::vector<std::uint64_t> acc;
+  std::vector<std::int32_t> halt_round;
+  std::vector<std::uint8_t> halted;
+
+  explicit GeometricHalt(std::size_t n)
+      : acc(n, 1), halt_round(n, 1), halted(n, 0) {
+    for (std::size_t v = 0; v < n; ++v)
+      halt_round[v] = 1 + std::countr_one(static_cast<unsigned>(v));
+  }
+  std::optional<Message> send(NodeId v, int, int) { return acc[v]; }
+  template <class Inbox>
+  void step(NodeId v, const Inbox& inbox, int round) {
+    std::uint64_t s = acc[v];
+    for (const auto& m : inbox)
+      if (m) s += *m;
+    acc[v] = s + static_cast<std::uint64_t>(round);
+    if (round >= halt_round[v]) halted[v] = 1;
+  }
+  bool done(NodeId v) const { return halted[v] != 0; }
+};
 
 // Substrate hot paths as scenario tasks. Setup (instance construction) is
 // hoisted into shared_ptr captures at task-creation time so each timed
 // body exercises only the path its label names; bodies are self-contained
 // so the pool may run them concurrently.
-std::vector<ScenarioTask> substrate_scenarios(int engine_max_exp,
-                                              int pinned_shards) {
+std::vector<ScenarioTask> substrate_scenarios(int engine_max_exp) {
   std::vector<ScenarioTask> tasks;
   // The strict/audit gather hot path through the flat-ball engine: the same
   // radius-2 rule in both accounting modes. The strict rows are what the
@@ -95,21 +118,16 @@ std::vector<ScenarioTask> substrate_scenarios(int engine_max_exp,
   }
   // The message-engine size ramp (cycle + regular + the real-graph file
   // sample): the engine-bound geometric-halt rule plus the two deepest
-  // migrated state machines (Luby, propose-accept matching) through the
-  // inline executor at n = 2^12..2^engine_max_exp, and through the pinned
-  // executor at --shards from 2^14 (where shard-sized working sets leave
-  // cache) up. The geometric-halt rows are the engine gauge (the rule
-  // costs nothing, so they measure executor overhead); the luby/matching
-  // rows are bounded by each algorithm's own per-node compute. Every
-  // engine row carries the edge count (feeding the derived edges_per_sec
-  // column) and the engine's resident footprint in its stats object.
-  // Each body pins its shard count thread-locally (1 for the inline rows),
-  // so rows measure their labeled executor regardless of the ambient
-  // context the pool worker runs in.
+  // migrated state machines (Luby, propose-accept matching) at
+  // n = 2^12..2^engine_max_exp. The geometric-halt rows are the engine
+  // gauge (the rule costs nothing, so they measure executor overhead); the
+  // luby/matching rows are bounded by each algorithm's own per-node
+  // compute. Every engine row carries the edge count (feeding the derived
+  // edges_per_sec column) and the engine's resident footprint in its stats
+  // object.
   const auto engine_rows = [&tasks](const std::shared_ptr<const Graph>& g,
                                     const std::shared_ptr<IdMap>& ids,
-                                    const std::string& suffix, int shards) {
-    const std::string tag = shards <= 1 ? "v3" : "v3-pinned";
+                                    const std::string& suffix) {
     const auto fill = [g](SweepRow& row, const MessageEngineStats& es,
                           int rounds) {
       row.nodes = g->num_nodes();
@@ -117,25 +135,22 @@ std::vector<ScenarioTask> substrate_scenarios(int engine_max_exp,
       row.rounds = rounds;
       es.surface(row.stats);
     };
-    tasks.push_back({"engine/" + tag + "/geometric-halt" + suffix,
-                     [g, shards, fill](SweepRow& row) {
-                       ScopedEngineShards shard_scope(shards);
+    tasks.push_back({"engine/v3/geometric-halt" + suffix,
+                     [g, fill](SweepRow& row) {
                        GeometricHalt alg(g->num_nodes());
                        MessageEngineStats es;
                        const int rounds = run_message_rounds(
                            *g, alg, static_cast<std::int64_t>(64), &es);
                        fill(row, es, rounds);
                      }});
-    tasks.push_back({"engine/" + tag + "/luby" + suffix,
-                     [g, ids, shards, fill](SweepRow& row) {
-                       ScopedEngineShards shard_scope(shards);
+    tasks.push_back({"engine/v3/luby" + suffix,
+                     [g, ids, fill](SweepRow& row) {
                        MessageEngineStats es;
                        const auto res = luby_mis(*g, *ids, 7, &es);
                        fill(row, es, res.rounds);
                      }});
-    tasks.push_back({"engine/" + tag + "/matching" + suffix,
-                     [g, ids, shards, fill](SweepRow& row) {
-                       ScopedEngineShards shard_scope(shards);
+    tasks.push_back({"engine/v3/matching" + suffix,
+                     [g, ids, fill](SweepRow& row) {
                        MessageEngineStats es;
                        const auto res = randomized_matching(*g, *ids, 7, &es);
                        fill(row, es, res.rounds);
@@ -148,12 +163,11 @@ std::vector<ScenarioTask> substrate_scenarios(int engine_max_exp,
       const auto ids = std::make_shared<IdMap>(shuffled_ids(*g, 5));
       const std::string suffix =
           "/" + std::string(family) + "/n=" + std::to_string(n);
-      engine_rows(g, ids, suffix, 1);
-      if (exp >= 14) engine_rows(g, ids, suffix, pinned_shards);
+      engine_rows(g, ids, suffix);
     }
   }
   // The same three rules on the committed real-graph sample (skewed
-  // degrees, no synthetic regularity), through both executors.
+  // degrees, no synthetic regularity).
   {
     const std::string sample = "tests/data/p2p-sample.txt";
     if (std::filesystem::exists(sample)) {
@@ -162,8 +176,7 @@ std::vector<ScenarioTask> substrate_scenarios(int engine_max_exp,
       const auto ids = std::make_shared<IdMap>(shuffled_ids(*g, 5));
       const std::string suffix =
           "/p2p-sample/n=" + std::to_string(g->num_nodes());
-      engine_rows(g, ids, suffix, 1);
-      engine_rows(g, ids, suffix, pinned_shards);
+      engine_rows(g, ids, suffix);
     }
   }
   for (const std::size_t n : {std::size_t{1} << 10, std::size_t{1} << 14}) {
@@ -338,7 +351,6 @@ int main(int argc, char** argv) {
   int threads = 0;  // 0 = hardware concurrency
   int repeat = 3;
   int engine_max_exp = 22;
-  int pinned_shards = 4;
   std::vector<std::size_t> sizes{std::size_t{1} << 10};
   std::string json_path = "BENCH_micro.json";
   for (int i = 1; i < argc; ++i) {
@@ -354,10 +366,6 @@ int main(int argc, char** argv) {
     }
     else if (arg == "--engine-max-exp") {
       if (!parse_int_opt("--engine-max-exp", next(), 12, 26, &engine_max_exp))
-        return 2;
-    }
-    else if (arg == "--shards") {
-      if (!parse_int_opt("--shards", next(), 1, 65535, &pinned_shards))
         return 2;
     }
     else if (arg == "--json") json_path = next();
@@ -380,7 +388,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: bench_micro [--threads N] [--repeat R] "
-                   "[--sizes a,b,...] [--engine-max-exp E] [--shards K] "
+                   "[--sizes a,b,...] [--engine-max-exp E] "
                    "[--json PATH] [--no-json]\n");
       return 2;
     }
@@ -413,7 +421,7 @@ int main(int argc, char** argv) {
   const SweepOutcome baseline = run_batch(small);
 
   const SweepOutcome substrate = run_scenarios(
-      substrate_scenarios(engine_max_exp, pinned_shards), repeat);
+      substrate_scenarios(engine_max_exp), repeat);
 
   print_rows("registry pairs (solve + verify, run_batch)", runners);
   print_rows("linear baselines", baseline);

@@ -136,8 +136,9 @@ def self_test():
     _, regs = find_regressions(cur, base, 0.25, 1_000_000)
     check("added-columns-ignored", regs == [])
 
-    # The pinned executor's gauges in a row's stats are ignored the same
-    # way — gating never requires a baseline refresh for them.
+    # Gauges of the retired pinned executor in a row's stats (older BENCH
+    # files carry them) are ignored the same way — gating never requires a
+    # baseline refresh for them.
     doc = _doc([_row("p", 10_000_000,
                      stats={"pinned_teams": 4, "barrier_ns": 12_345,
                             "numa_local_bytes": 1 << 20}),

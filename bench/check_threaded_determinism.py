@@ -5,15 +5,13 @@ produced the same sweep rows as the baseline (serial) run.
 Wall-clock fields differ by design; what must be identical row by row is
 the workload identity (problem, algo, family, nodes, edges) and the
 deterministic outcome fields (status, rounds). A mismatch means a pooled
-or sharded execution path (the inline engine's pooled phases, the pinned
-executor, run_gather, check_ne_lcl, run_batch) diverged from the serial
-one — exactly the bit-identity contract both the thread pool and the
-pinned executor promise.
+execution path (the engine's pooled phases, run_gather, check_ne_lcl,
+run_batch) diverged from the serial one — exactly the bit-identity
+contract the thread pool promises.
 
-Any number of variants can be gated against one baseline: the CI job
-passes the threaded run AND the re-sharded run (bench_micro --shards 8,
-which runs the engine/v3-pinned rows at 8 shards), each compared
-independently.
+Any number of variants can be gated against one baseline, each compared
+independently; the CI job passes the threaded run (bench_micro
+--threads 4).
 
 Usage: check_threaded_determinism.py BASELINE.json VARIANT.json [...]
 Exit codes: 0 all identical, 1 divergence, 2 usage/parse error.

@@ -5,18 +5,13 @@
 //   padlock_cli list     [--problem <name>]
 //   padlock_cli run <problem> <algo> --graph <family> [--nodes N]
 //                  [--degree D] [--seed S] [--ids <strategy>] [--no-check]
-//                  [--threads T] [--repeat R] [--shards K]
-//                  [--max-violations V]
+//                  [--threads T] [--repeat R] [--max-violations V]
 //       families:   build::family_names() — path cycle tree torus regular
 //                   multigraph high-girth bounded (+ cubic, cubic-simple)
 //       strategies: sequential shuffled sparse adversarial
-//       --shards K > 1 runs the round engine on the pinned executor: K
-//       word-aligned shards owned by affinity-pinned worker teams with one
-//       barrier per round (bit-identical to K = 1, the inline executor;
-//       see docs/API.md "Round engine")
 //   padlock_cli sweep    [--pairs p/a,p/a|all] [--family f1,f2] [--sizes
 //                  a,b,c] [--degree D] [--seed S] [--repeat R] [--threads T]
-//                  [--shards K] [--no-check] [--no-cache] [--json]
+//                  [--no-check] [--no-cache] [--json]
 //       the batched execution plan: pairs × families × sizes through the
 //       thread pool (core/runner.hpp run_batch). The graph menu resolves
 //       through the sweep-wide GraphCache unless --no-cache builds every
@@ -77,7 +72,6 @@
 #include "graph/metrics.hpp"
 #include "io/dot.hpp"
 #include "io/serialize.hpp"
-#include "local/message_engine.hpp"
 #include "serve/server.hpp"
 #include "store/edgelist.hpp"
 #include "store/pg.hpp"
@@ -125,10 +119,10 @@ const std::map<std::string, std::vector<std::string_view>>& option_lists() {
       {"list", {"problem"}},
       {"run",
        {"graph", "nodes", "degree", "seed", "ids", "no-check", "threads",
-        "repeat", "shards", "max-violations"}},
+        "repeat", "max-violations"}},
       {"sweep",
        {"pairs", "family", "sizes", "degree", "seed", "repeat", "threads",
-        "shards", "no-check", "no-cache", "json"}},
+        "no-check", "no-cache", "json"}},
       {"graph", {"in", "out", "keep-self-loops", "keep-duplicates"}},
       {"serve",
        {"port", "socket", "host", "threads", "max-in-flight", "queue-limit",
@@ -224,9 +218,6 @@ int cmd_run(const std::string& problem, const std::string& algo,
   const int degree = static_cast<int>(a.num("degree", 3, 0, 1 << 20));
   const int repeat = static_cast<int>(a.num("repeat", 1, 1, 1000000));
   exec_context().threads = static_cast<int>(a.num("threads", 1, 0, 65536));
-  if (a.flag("shards")) {
-    exec_context().shards = static_cast<int>(a.num("shards", 1, 1, 65535));
-  }
   RunOptions opts;
   opts.seed = static_cast<std::uint64_t>(a.num("seed", 1, 0, (1LL << 62)));
   opts.ids = id_strategy_from_name(a.str("ids", "shuffled"));
@@ -254,9 +245,6 @@ int cmd_run(const std::string& problem, const std::string& algo,
               problem.c_str(), algo.c_str(),
               a.str("graph", "cubic-simple").c_str(), g.num_nodes(),
               g.num_edges(), g.max_degree());
-  const int shards = engine_effective_shards();
-  std::printf("engine: %s, shards: %d\n", shards > 1 ? "pinned" : "inline",
-              shards);
   std::printf("rounds: %d\n", outcome.rounds.rounds);
   if (repeat > 1) {
     std::printf("wall:   min %.1f us, median %.1f us over %d runs "
@@ -320,7 +308,6 @@ int cmd_sweep(const Args& a) {
   plan.repeat = static_cast<int>(a.num("repeat", 1, 1, 1000000));
   plan.threads = static_cast<int>(a.num("threads", 0, 0, 65536));
   plan.use_cache = !a.flag("no-cache");
-  plan.shards = static_cast<int>(a.num("shards", 0, 1, 65535));
 
   const SweepOutcome outcome = run_batch(plan);
   if (a.flag("json")) {
@@ -341,9 +328,8 @@ int cmd_sweep(const Args& a) {
                ran ? fmt(row.wall_ns_median / 1e3, 1) : "-"});
   }
   t.print();
-  std::printf("%zu rows in %.1f ms (threads=%d, shards=%d, %s)%s\n",
+  std::printf("%zu rows in %.1f ms (threads=%d, %s)%s\n",
               outcome.rows.size(), outcome.wall_ns / 1e6, outcome.threads,
-              outcome.shards,
               cache_note(outcome).c_str(),
               outcome.all_ok() ? "" : " — FAILURES");
   return outcome.all_ok() ? 0 : 1;

@@ -60,8 +60,8 @@ struct LubyAlg {
     return Message{decided.test(v) && in_set.test(v) ? 1u : 0u};
   }
 
-  // Inbox-shape agnostic (the inline PackedInbox and the pinned
-  // DenseInbox both satisfy the optional-like per-port protocol).
+  // Inbox-shape agnostic: any optional-like per-port inbox works (the
+  // engine passes a PackedInbox).
   template <class Inbox>
   void step(NodeId v, const Inbox& inbox, int round) {
     if (decided.test(v)) return;

@@ -27,11 +27,11 @@ namespace {
 // through an atomic fetch_or (ORs of per-node-disjoint masks commute —
 // bit-identical for any thread count). Only step(v) kills v's ports, so
 // the returned previous bit is exact and the live counter stays a plain
-// per-node write. is_live() reads through a relaxed-atomic load: its own
-// bits are stable (only v's step writes them), but the pinned backend's
-// fused schedule lets one worker's send overlap another's step on a
-// shared word, so the read must be atomic for the memory model (free on
-// x86; the loaded value of the caller's bits is unaffected either way).
+// per-node write. is_live() reads through a relaxed-atomic load: only
+// send calls it, and the engine joins between the send and step phases,
+// so no kill() runs concurrently with it; the load is free on x86 and
+// keeps every access to the shared words atomic (the loaded value of the
+// caller's bits is unaffected either way).
 struct PortLiveness {
   std::vector<std::size_t> offset;  // CSR: ports of v at [offset[v], ...)
   WordBitset dead;

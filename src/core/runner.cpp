@@ -9,7 +9,6 @@
 
 #include "core/graph_cache.hpp"
 #include "graph/builders.hpp"
-#include "local/message_engine.hpp"
 #include "support/check.hpp"
 
 namespace padlock {
@@ -300,11 +299,8 @@ SweepOutcome run_batch(const ExecutionPlan& plan) {
   }
 
   ThreadsGuard guard(plan.threads);
-  const int shards =
-      plan.shards >= 1 ? plan.shards : engine_effective_shards();
   SweepOutcome outcome;
   outcome.threads = resolved_threads();
-  outcome.shards = shards;
   const auto batch_t0 = Clock::now();
 
   // Resolve the instance menu once; every pair shares the same immutable
@@ -379,9 +375,6 @@ SweepOutcome run_batch(const ExecutionPlan& plan) {
   outcome.rows.resize(pairs.size() * graphs.size());
   const auto faults = parallel_for_capture(
       0, outcome.rows.size(), 1, [&](std::size_t b, std::size_t e) {
-        // Per-chunk shard pin: rows execute on whichever worker drew the
-        // chunk, and the thread_local default there would ignore the plan.
-        const ScopedEngineShards shards_pin(shards);
         for (std::size_t i = b; i < e; ++i) {
           const ResolvedPair& pair = pairs[i / graphs.size()];
           const std::size_t gi = i % graphs.size();
@@ -490,7 +483,6 @@ SweepOutcome run_scenarios(const std::vector<ScenarioTask>& scenarios,
   ThreadsGuard guard(threads);
   SweepOutcome outcome;
   outcome.threads = resolved_threads();
-  outcome.shards = engine_effective_shards();
   const auto batch_t0 = Clock::now();
 
   outcome.rows.resize(scenarios.size());
@@ -618,7 +610,6 @@ std::string row_to_json(const SweepRow& row) {
 std::string to_json(const SweepOutcome& outcome) {
   std::ostringstream out;
   out << "{\"threads\": " << outcome.threads
-      << ", \"shards\": " << outcome.shards
       << ", \"wall_ns\": " << outcome.wall_ns
       << ", \"cache\": " << (outcome.cached ? "true" : "false")
       << ", \"cache_hits\": " << outcome.cache_hits

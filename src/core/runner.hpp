@@ -104,14 +104,6 @@ struct ExecutionPlan {
   /// Worker threads for this batch: 0 = keep exec_context() as is,
   /// otherwise exec_context().threads is set (and restored) around the run.
   int threads = 0;
-  /// Engine shard count for every row of this batch: 0 resolves the
-  /// dispatching thread's effective count (exec_context().shards or a
-  /// scoped pin), 1 runs the inline executor, > 1 the pinned worker-team
-  /// executor (local/message_engine.hpp). Rows run on pool workers, so the
-  /// resolved count is re-pinned thread-locally per row — a batch is never
-  /// split across shard configurations. Rows are bit-identical for every
-  /// value.
-  int shards = 0;
   /// Resolve the graph menu through the process-wide GraphCache
   /// (core/graph_cache.hpp): identical specs — within this plan or across
   /// earlier batches — share one immutable instance. false (`padlock_cli
@@ -187,10 +179,6 @@ struct WallStats {
 struct SweepOutcome {
   std::vector<SweepRow> rows;
   int threads = 1;              // resolved worker count the batch ran with
-  /// Execution provenance of the batch: the shard count its rows ran with
-  /// (run_scenarios records the ambient configuration; bodies that pin
-  /// their own shard count say so in their row labels).
-  int shards = 1;
   std::uint64_t wall_ns = 0;    // whole-batch wall clock
   /// Graph-cache accounting of this batch's menu resolution: a hit is a
   /// menu entry served without building (already cached, or a duplicate
@@ -223,9 +211,8 @@ int finish_bench(const SweepOutcome& outcome, const std::string& label);
 /// Executes the plan. The graph menu resolves through the sweep-wide
 /// GraphCache (one build per distinct canonical spec, shared across rows,
 /// repeats, threads, and earlier batches; use_cache = false builds fresh);
-/// runs are dispatched through the thread pool at single-run granularity. With
-/// exec_context().deterministic (default), the rows are bit-identical for
-/// every thread count.
+/// runs are dispatched through the thread pool at single-run granularity. The
+/// rows are bit-identical for every thread count.
 ///
 /// Failure is row-scoped: an unknown pair name, a graph family that fails
 /// to build, a throwing solver, or a contract violation poisons exactly the
@@ -253,7 +240,7 @@ SweepOutcome run_scenarios(const std::vector<ScenarioTask>& scenarios,
 /// sweep format written by `padlock_cli sweep --json` and bench_micro's
 /// BENCH_micro.json:
 ///
-///   {"threads": T, "shards": S, "wall_ns": W, "cache": true|false,
+///   {"threads": T, "wall_ns": W, "cache": true|false,
 ///    "cache_hits": H, "cache_misses": M, "rows": [...]}
 ///
 /// Every row is emitted (skipped rows included, with "skipped": true), one

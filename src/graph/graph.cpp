@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "graph/partition.hpp"
-
 namespace padlock {
 
 GraphBuilder::GraphBuilder(std::size_t reserve_edges) {
@@ -94,10 +92,6 @@ void Graph::finalize() {
   loop_free_ = std::none_of(
       endpoints_.data(), endpoints_.data() + endpoints_.size(),
       [](const std::pair<NodeId, NodeId>& uv) { return uv.first == uv.second; });
-  // Assembly is the one single-threaded moment of a graph's life, so the
-  // partition memo is created here (lazily creating it from the const
-  // partition() accessor would race concurrent sweep rows).
-  partitions_ = std::make_shared<PartitionStore>();
 }
 
 }  // namespace padlock

@@ -102,8 +102,6 @@ struct HalfEdge {
 }
 
 class GraphBuilder;
-class Partition;       // graph/partition.hpp
-struct PartitionStore; // the per-graph partition memo (graph/partition.hpp)
 
 /// Zero-allocation view of one node's ports: a contiguous slice of the
 /// graph's CSR port slab, in port order. Valid as long as the Graph it was
@@ -253,18 +251,11 @@ class Graph {
                                    Slab<std::pair<int, int>> side_port,
                                    int max_degree);
 
-  /// The node-space partition for `shards` word-aligned contiguous shards
-  /// (graph/partition.hpp), memoized per graph: copies of a Graph share
-  /// one store, so a cached graph is partitioned once per shard count no
-  /// matter how many sweep rows run on it. Thread-safe. Defined in
-  /// partition.cpp.
-  [[nodiscard]] std::shared_ptr<const Partition> partition(int shards) const;
-
  private:
   friend class GraphBuilder;
 
-  /// Fills what is derived from the assembled CSR slabs: peer_port_,
-  /// loop_free_, and the partition memo.
+  /// Fills what is derived from the assembled CSR slabs: peer_port_ and
+  /// loop_free_.
   void finalize();
 
   // CSR layout of ports: ports of node v live at
@@ -275,10 +266,6 @@ class Graph {
   // Per edge: (port at side-0 endpoint, port at side-1 endpoint).
   Slab<std::pair<int, int>> side_port_;
   std::vector<std::uint32_t> peer_port_;
-  // Created at assembly (finalize); shared by copies so the
-  // partition memo travels with GraphCache hits. Null only on a
-  // default-constructed Graph.
-  std::shared_ptr<PartitionStore> partitions_;
   int max_degree_ = 0;
   bool loop_free_ = true;
 };

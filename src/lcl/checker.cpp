@@ -1,7 +1,6 @@
 #include "lcl/checker.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <mutex>
 #include <optional>
 
@@ -71,29 +70,14 @@ struct ChunkHits {
 template <typename TestFn>
 void scan_sites(std::size_t count, std::size_t max_violations,
                 CheckResult& result, const TestFn& test) {
-  // Relaxed early-exit budget: only consulted in non-deterministic mode,
-  // where the caller opted out of exact total_violations counting. Never
-  // below 1 — `ok` must stay exact even with a zero-length report list.
-  const bool exact = exec_context().deterministic;
-  const std::size_t stop_after = std::max<std::size_t>(1, max_violations);
-  std::atomic<std::size_t> found{0};
-  std::atomic<bool> stopped_early{false};
-
   std::mutex mu;
   std::vector<ChunkHits> chunks;
   parallel_for(0, count, 0, [&](std::size_t begin, std::size_t end) {
     ChunkHits hits;
     hits.chunk_begin = begin;
     for (std::size_t i = begin; i < end; ++i) {
-      if (!exact && found.load(std::memory_order_relaxed) >= stop_after) {
-        // Report list is already full; stop counting. Unscanned sites may
-        // hide further violations, so the result must read as truncated.
-        stopped_early.store(true, std::memory_order_relaxed);
-        break;
-      }
       if (auto v = test(i)) {
         ++hits.total;
-        found.fetch_add(1, std::memory_order_relaxed);
         if (hits.sites.size() < max_violations) hits.sites.push_back(*v);
       }
     }
@@ -101,7 +85,6 @@ void scan_sites(std::size_t count, std::size_t max_violations,
     std::lock_guard<std::mutex> lock(mu);
     chunks.push_back(std::move(hits));
   });
-  if (stopped_early.load()) result.truncated = true;
 
   std::sort(chunks.begin(), chunks.end(),
             [](const ChunkHits& a, const ChunkHits& b) {

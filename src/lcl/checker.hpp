@@ -47,13 +47,9 @@ struct CheckResult {
 /// Evaluates all constraints of `lcl` on (input, output) over g.
 ///
 /// Execution is thread-pooled over the node and edge constraint spaces
-/// (support/thread_pool.hpp). With exec_context().deterministic (the
-/// default) the result — including the order and content of the capped
-/// violation list and the exact total_violations count — is bit-identical
-/// to a serial scan at any thread count. With deterministic == false the
-/// scan may stop counting once the report list is full: `ok` is still
-/// exact, but total_violations becomes a lower bound and `truncated` is
-/// set whenever any site went unscanned.
+/// (support/thread_pool.hpp). The result — including the order and content
+/// of the capped violation list and the exact total_violations count — is
+/// bit-identical to a serial scan at any thread count.
 CheckResult check_ne_lcl(const Graph& g, const NeLcl& lcl,
                          const NeLabeling& input, const NeLabeling& output,
                          std::size_t max_violations = 16);

@@ -21,8 +21,8 @@
 // the opposite endpoint's port (self-loops deliver between the loop's two
 // ports of the same node) and returns the number of rounds executed.
 //
-// Execution model of the inline executor (each point replaced a layout of
-// the retired v1/v2 executors, whose outputs the committed reference map
+// Execution model (each point replaced a layout of the retired v1/v2
+// executors, whose outputs the committed reference map
 // tests/data/engine_reference_map.json still pins):
 //
 //  * The message slab stores each algorithm's *wire* layout: MessageTraits
@@ -76,23 +76,18 @@
 // to whatever it would have kept sending — true for every migrated state
 // machine (a decided Luby node matters to neighbors for exactly one round;
 // a color-reduce node's final color is remembered by its receivers).
-//
-// Sharding: when exec_context().shards (or the thread-local
-// ScopedEngineShards pin below) asks for more than one shard, dispatch
-// routes to the pinned worker-team executor (local/engine_pinned.hpp) over
-// a word-aligned graph Partition; shards == 1 is this file's inline path.
 #pragma once
 
+#include <atomic>
+#include <bit>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/partition.hpp"
 #include "local/engine_bitset.hpp"
 #include "local/message_engine_stats.hpp"
 #include "support/check.hpp"
@@ -225,38 +220,6 @@ class PackedInbox {
   const std::uint64_t* presence_;
 };
 
-/// Thread-local shard-count override: -1 (default) follows the process-wide
-/// exec_context().shards; >= 0 pins this thread's runs. Batch rows on pool
-/// workers use the scoped form — mutating the global from a worker would
-/// race sibling rows.
-inline int& message_engine_shards() {
-  thread_local int s = -1;
-  return s;
-}
-
-/// RAII shard-count pin for batch rows, benches and tests.
-class ScopedEngineShards {
- public:
-  explicit ScopedEngineShards(int shards) : saved_(message_engine_shards()) {
-    message_engine_shards() = shards;
-  }
-  ~ScopedEngineShards() { message_engine_shards() = saved_; }
-  ScopedEngineShards(const ScopedEngineShards&) = delete;
-  ScopedEngineShards& operator=(const ScopedEngineShards&) = delete;
-
- private:
-  int saved_;
-};
-
-/// The shard count a run dispatched from this thread uses: the thread-local
-/// override when pinned, else exec_context().shards, floored at 1. Above 1
-/// run_message_rounds takes the pinned executor.
-[[nodiscard]] inline int engine_effective_shards() {
-  const int pinned = message_engine_shards();
-  const int s = pinned >= 0 ? pinned : exec_context().shards;
-  return s < 1 ? 1 : s;
-}
-
 namespace detail {
 
 /// Pooling threshold of the v3 phases, in nonzero frontier *words* (64
@@ -282,22 +245,14 @@ inline constexpr std::size_t kEngineWordGrain = 16;
 
 }  // namespace detail
 
-}  // namespace padlock
-
-// The pinned multi-pool backend reads the MessageTraits / kUniformSend /
-// PackedInbox seam defined above, so it is included here rather than
-// before the namespace (see its file comment).
-#include "local/engine_pinned.hpp"  // IWYU pragma: export
-
-namespace padlock {
-
-/// The v3 executor (see the file comment for the precise lifecycle).
-/// `max_rounds` is the contract budget — exceeding it throws
+/// Executes `alg` on g until every node is done — the round executor every
+/// round-based algorithm calls (see the file comment for the precise
+/// lifecycle). `max_rounds` is the contract budget — exceeding it throws
 /// ContractViolation. Returns the number of rounds executed. Serial and
 /// parallel (exec_context().threads) executions are bit-identical.
 template <typename Alg>
-int run_message_rounds_v3(const Graph& g, Alg& alg, std::int64_t max_rounds,
-                          MessageEngineStats* stats = nullptr) {
+int run_message_rounds(const Graph& g, Alg& alg, std::int64_t max_rounds,
+                       MessageEngineStats* stats = nullptr) {
   using Traits = MessageTraits<Alg>;
   using Packed = typename Traits::Packed;
 
@@ -493,30 +448,9 @@ int run_message_rounds_v3(const Graph& g, Alg& alg, std::int64_t max_rounds,
     busy_words = next_busy.load(std::memory_order_relaxed);
   }
 
-  accumulate_engine_gauges(local);
+  accumulate_engine_gauges();
   if (stats != nullptr) *stats = local;
   return static_cast<int>(round64);
-}
-
-/// Executes `alg` on g until every node is done — the drop-in round
-/// executor every round-based algorithm calls. One knob picks the
-/// executor: at an effective shard count of 1 (the default) the inline v3
-/// path above runs; above 1 the pinned worker-team backend
-/// (local/engine_pinned.hpp) runs over the graph's memoized Partition. A
-/// graph too small to split (one frontier word) stays inline. Both
-/// executors produce bit-identical outputs and round counts for every
-/// shard and thread count (pinned by tests/shard_pool_test.cpp and the
-/// reference-output map in tests/message_engine_test.cpp).
-template <typename Alg>
-int run_message_rounds(const Graph& g, Alg& alg, std::int64_t max_rounds,
-                       MessageEngineStats* stats = nullptr) {
-  const int shards = engine_effective_shards();
-  if (shards > 1 && g.num_nodes() > 0) {
-    const std::shared_ptr<const Partition> part = g.partition(shards);
-    if (part->num_shards() > 1)
-      return run_message_rounds_pinned(g, alg, max_rounds, stats, *part);
-  }
-  return run_message_rounds_v3(g, alg, max_rounds, stats);
 }
 
 }  // namespace padlock

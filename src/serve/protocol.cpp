@@ -84,10 +84,6 @@ bool apply_common_knob(const std::string& key, const JsonValue& v,
     plan.repeat = static_cast<int>(require_int(v, key, 1, limits.max_repeat));
     return true;
   }
-  if (key == "shards") {
-    plan.shards = static_cast<int>(require_int(v, key, 1, 65535));
-    return true;
-  }
   if (key == "ids") {
     try {
       plan.options.ids = id_strategy_from_name(require_string(v, key));
@@ -113,8 +109,8 @@ bool apply_common_knob(const std::string& key, const JsonValue& v,
 void parse_run(const JsonValue& root, Request& req,
                const RequestLimits& limits) {
   static constexpr const char* kKeys[] = {
-      "op",   "id",     "problem", "algo", "family", "nodes",
-      "degree", "seed", "repeat",  "shards", "ids",  "check", "cache"};
+      "op",     "id",   "problem", "algo", "family", "nodes",
+      "degree", "seed", "repeat",  "ids",  "check",  "cache"};
   std::string problem, algo;
   GraphSpec spec;
   for (const auto& [key, value] : root.members) {
@@ -141,8 +137,8 @@ void parse_run(const JsonValue& root, Request& req,
 void parse_sweep(const JsonValue& root, Request& req,
                  const RequestLimits& limits) {
   static constexpr const char* kKeys[] = {
-      "op",     "id",     "pairs", "families", "sizes", "degree", "seed",
-      "repeat", "shards", "ids",   "check",    "cache"};
+      "op",     "id",  "pairs", "families", "sizes", "degree", "seed",
+      "repeat", "ids", "check", "cache"};
   std::vector<std::string> families{"regular"};
   std::vector<std::size_t> sizes{256};
   for (const auto& [key, value] : root.members) {
@@ -300,13 +296,7 @@ std::string stats_line(const Request& req, const ServeStats& stats) {
       << ", \"completed\": " << stats.completed
       << ", \"rows_streamed\": " << stats.rows_streamed
       << ", \"outstanding\": " << stats.outstanding
-      << ", \"engine_runs\": " << stats.engine_runs
-      << ", \"engine_shards\": " << stats.engine_shards
-      << ", \"cross_shard_msgs\": " << stats.cross_shard_msgs
-      << ", \"halo_bytes\": " << stats.halo_bytes
-      << ", \"pinned_teams\": " << stats.pinned_teams
-      << ", \"barrier_ns\": " << stats.barrier_ns
-      << ", \"numa_local_bytes\": " << stats.numa_local_bytes << "}\n";
+      << ", \"engine_runs\": " << stats.engine_runs << "}\n";
   return out.str();
 }
 
@@ -331,7 +321,7 @@ std::string done_line(const std::string& id, const SweepOutcome& outcome) {
       << (outcome.all_ok() ? "\"ok\"" : "\"failed\"")
       << ", \"rows\": " << outcome.rows.size() << ", \"failed\": " << failed
       << ", \"threads\": " << outcome.threads
-      << ", \"shards\": " << outcome.shards << ", \"wall_ns\": " << outcome.wall_ns << "}\n";
+      << ", \"wall_ns\": " << outcome.wall_ns << "}\n";
   return out.str();
 }
 

@@ -20,9 +20,8 @@
 //                   "sizes": [...], ...knobs}             full plan
 //   {"op": "shutdown"}                 graceful drain + exit
 // Shared knobs (all optional): "id" (string echoed on every response line),
-// "degree", "seed", "repeat", "shards" (> 1 runs the pinned executor),
-// "ids" (id-strategy name), "check" (bool), "cache" (bool). Any other key
-// is refused as unknown.
+// "degree", "seed", "repeat", "ids" (id-strategy name), "check" (bool),
+// "cache" (bool). Any other key is refused as unknown.
 //
 // Responses (one JSON object per line, every line echoing the request id):
 //   {"type": "accepted", ...}          the request started executing
@@ -94,19 +93,9 @@ struct ServeStats {
   std::uint64_t completed = 0;       // run/sweep requests fully answered
   std::uint64_t rows_streamed = 0;   // row lines written
   std::uint64_t outstanding = 0;     // admitted, not yet completed (gauge)
-  // Round-engine gauges, a snapshot of the process-wide
-  // EngineGaugeTotals (local/message_engine_stats.hpp) at stats time:
-  // cumulative counters over every engine run the daemon executed, plus the
-  // last-run shard/pinning configuration — how an operator sees whether the
-  // pinned executor actually pinned (pinned_teams > 0) and what the
-  // cross-shard traffic costs.
+  // Round-engine gauge, a snapshot of the process-wide EngineGaugeTotals
+  // (local/message_engine_stats.hpp) at stats time.
   std::uint64_t engine_runs = 0;      // engine executions, lifetime
-  std::int64_t engine_shards = 0;     // shard count of the last run
-  std::int64_t cross_shard_msgs = 0;  // cumulative cross-shard messages
-  std::int64_t halo_bytes = 0;        // cumulative cross-shard bytes
-  std::int64_t pinned_teams = 0;      // pinned workers of the last run
-  std::int64_t barrier_ns = 0;        // cumulative barrier wait (pinned)
-  std::int64_t numa_local_bytes = 0;  // cumulative first-touch-local bytes
 };
 
 // ---- response lines (each returned with its trailing '\n') ----------------

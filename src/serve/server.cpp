@@ -147,17 +147,11 @@ struct Server::Impl {
       std::lock_guard<std::mutex> lock(mu);
       s.outstanding = static_cast<std::uint64_t>(outstanding);
     }
-    // Engine gauges: the process-wide totals both round executors
-    // accumulate into (relaxed reads — stats is a monitoring
-    // surface, not a synchronization point).
-    const EngineGaugeTotals& g = engine_gauge_totals();
-    s.engine_runs = g.engine_runs.load(std::memory_order_relaxed);
-    s.engine_shards = g.engine_shards.load(std::memory_order_relaxed);
-    s.cross_shard_msgs = g.cross_shard_msgs.load(std::memory_order_relaxed);
-    s.halo_bytes = g.halo_bytes.load(std::memory_order_relaxed);
-    s.pinned_teams = g.pinned_teams.load(std::memory_order_relaxed);
-    s.barrier_ns = g.barrier_ns.load(std::memory_order_relaxed);
-    s.numa_local_bytes = g.numa_local_bytes.load(std::memory_order_relaxed);
+    // Engine gauge: the process-wide run count the executor accumulates
+    // into (relaxed read — stats is a monitoring surface, not a
+    // synchronization point).
+    s.engine_runs =
+        engine_gauge_totals().engine_runs.load(std::memory_order_relaxed);
     return s;
   }
 

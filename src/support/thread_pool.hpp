@@ -11,14 +11,11 @@
 //
 // The process-wide ExecContext carries the knobs every layer consults:
 //
-//   exec_context().threads        worker count (0 = hardware concurrency,
-//                                 1 = serial, the default)
-//   exec_context().seed           base seed for seeded sweeps
-//   exec_context().deterministic  true (default): results are bit-identical
-//                                 to a serial run. false: layers may trade
-//                                 exactness for speed (e.g. the ne-LCL
-//                                 checker stops counting violations once
-//                                 the report list is full).
+//   exec_context().threads  worker count (0 = hardware concurrency,
+//                           1 = serial, the default)
+//   exec_context().seed     base seed for seeded sweeps
+//
+// Results are bit-identical to a serial run at every thread count.
 //
 // Mutate exec_context() only from the coordinating thread between batch
 // operations (the CLI/bench flag-parsing moment); the global pool is
@@ -52,15 +49,8 @@ namespace padlock {
 
 /// Process-wide execution knobs (see file comment).
 struct ExecContext {
-  int threads = 1;            // 0 = hardware concurrency
-  std::uint64_t seed = 1;     // base seed: the default RunOptions.seed
-  bool deterministic = true;  // bit-identical-to-serial guarantee
-  /// Shard count of the round engine (<= 1 = the inline path, > 1 = the
-  /// pinned worker-team executor). Consulted per run through
-  /// engine_effective_shards() (local/message_engine.hpp), which also
-  /// honors a thread-local override for batch rows on pool workers. Mutate only
-  /// from the coordinating thread between batches, like `threads`.
-  int shards = 1;
+  int threads = 1;         // 0 = hardware concurrency
+  std::uint64_t seed = 1;  // base seed: the default RunOptions.seed
 };
 
 /// The mutable global context consulted by run_gather, check_ne_lcl and

@@ -107,17 +107,6 @@ TEST_F(DeterminismTest, CheckerViolationListIdenticalUnderCap) {
   }
 }
 
-TEST_F(DeterminismTest, NonDeterministicModeStillFindsInvalidity) {
-  const Graph g = build::random_regular(128, 3, 7);
-  const NeLabeling input(g);
-  const SinklessOrientation lcl;
-  exec_context().threads = 4;
-  exec_context().deterministic = false;
-  const CheckResult loose = check_ne_lcl(g, lcl, input, NeLabeling(g), 4);
-  EXPECT_FALSE(loose.ok);
-  EXPECT_GE(loose.total_violations, loose.violations.size());
-}
-
 TEST_F(DeterminismTest, RunBatchRowsIdenticalAcrossThreadCounts) {
   ExecutionPlan plan;
   plan.pairs = {{"mis", "luby"}, {"sinkless-orientation", "propose-repair"}};

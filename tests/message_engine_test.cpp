@@ -10,15 +10,18 @@
 //    express). Regenerate deliberately with PADLOCK_REGEN_GOLDEN=1.
 //  * the reference-output map tests/data/engine_reference_map.json: the
 //    whole registry × synthetic families × a real file-backed graph ×
-//    threads × shards, captured while the retired executors still agreed,
-//    so it stands in for them as the oracle of both current executors;
+//    threads, captured while the retired executors still agreed, so it
+//    stands in for them as the oracle of the current executor;
 //  * propose-accept matchings are maximal;
 //  * serial ≡ parallel bit-identity of engine-driven pairs at a size where
 //    the pooled phases actually split into chunks;
 //  * drain semantics: a halting node's final sends are delivered exactly
 //    once, and long-halted slots read as silence;
 //  * steady-state zero allocations per round, via the same global
-//    operator-new counting hook as tests/view_property_test.cpp.
+//    operator-new counting hook as tests/view_property_test.cpp;
+//  * a round-budget violation throws ContractViolation and leaves the
+//    engine (and the pool, when the phases ran pooled) fit for the next
+//    run.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -40,6 +43,7 @@
 #include "lcl/problems/matching.hpp"
 #include "local/fingerprint.hpp"
 #include "local/message_engine.hpp"
+#include "support/check.hpp"
 #include "support/thread_pool.hpp"
 
 // ---- allocation-counting hook ----------------------------------------------
@@ -193,14 +197,15 @@ TEST_F(EngineTest, RandomizedMatchingIsMaximal) {
 }
 
 // ---- the reference-output map ----------------------------------------------
-// {pair, instance, threads, shards} -> (output fingerprint, rounds, per-node
-// rounds fingerprint) for every registered pair on four synthetic families
-// at n = 192 and the committed file-backed sample, threads {1, 4} x shards
-// {1, 2, 4, 7}. The committed map was captured while the retired v2
-// executor and the retired sharded and loopback substrates still agreed bit
-// for bit with inline v3 and pinned on every entry, so it carries those
-// oracles forward: any executor, shard count or thread count that drifts
-// from them fails here, naming its key. Regenerate deliberately with
+// {pair, instance, threads} -> (output fingerprint, rounds, per-node rounds
+// fingerprint) for every registered pair on four synthetic families at
+// n = 192 and the committed file-backed sample, threads {1, 4}. The
+// committed map was captured while the retired v2 executor, the retired
+// sharded and loopback substrates and the retired pinned executor still
+// agreed bit for bit with inline v3 on every entry, so it carries those
+// oracles forward: a thread count that drifts from them fails here, naming
+// its key. Every entry keeps the `"shards": 1` field of the era when the
+// map also covered shard counts. Regenerate deliberately with
 // PADLOCK_REGEN_GOLDEN=1.
 
 std::string hex64(std::uint64_t x) {
@@ -230,24 +235,21 @@ std::vector<std::string> reference_map_lines() {
     for (const Instance& inst : instances) {
       if (algo->precondition && !algo->precondition(*inst.graph)) continue;
       for (const int threads : {1, 4}) {
-        for (const int shards : {1, 2, 4, 7}) {
-          exec_context().threads = threads;
-          const ScopedEngineShards scope(shards);
-          RunOptions opts;
-          opts.seed = 29;
-          const SolveOutcome out =
-              run(algo->problem, algo->name, *inst.graph, opts);
-          EXPECT_TRUE(out.ok()) << algo->problem << "/" << algo->name;
-          std::ostringstream line;
-          line << "{\"pair\": \"" << algo->problem << "/" << algo->name
-               << "\", \"instance\": \"" << inst.label
-               << "\", \"threads\": " << threads << ", \"shards\": " << shards
-               << ", \"fingerprint\": \"" << hex64(labeling_fingerprint(out.output))
-               << "\", \"rounds\": " << out.rounds.rounds
-               << ", \"node_rounds\": \""
-               << hex64(node_map_fingerprint(out.rounds.node_rounds)) << "\"}";
-          lines.push_back(line.str());
-        }
+        exec_context().threads = threads;
+        RunOptions opts;
+        opts.seed = 29;
+        const SolveOutcome out =
+            run(algo->problem, algo->name, *inst.graph, opts);
+        EXPECT_TRUE(out.ok()) << algo->problem << "/" << algo->name;
+        std::ostringstream line;
+        line << "{\"pair\": \"" << algo->problem << "/" << algo->name
+             << "\", \"instance\": \"" << inst.label
+             << "\", \"threads\": " << threads << ", \"shards\": 1"
+             << ", \"fingerprint\": \"" << hex64(labeling_fingerprint(out.output))
+             << "\", \"rounds\": " << out.rounds.rounds
+             << ", \"node_rounds\": \""
+             << hex64(node_map_fingerprint(out.rounds.node_rounds)) << "\"}";
+        lines.push_back(line.str());
       }
     }
   }
@@ -282,7 +284,8 @@ TEST_F(EngineTest, ReferenceMapMatchesCommittedOutputs) {
 // ---- serial ≡ parallel on engine-driven pairs ------------------------------
 // determinism_test covers every registered pair at n=96; this instance is
 // large enough that the engine's pooled phases really split into chunks
-// (frontier > kEnginePhaseGrain).
+// (64 busy frontier words: above kEnginePoolMinWords, and four
+// kEngineWordGrain chunks).
 
 TEST_F(EngineTest, EngineSerialEqualsParallelAtChunkingScale) {
   const Graph g = build::family("regular", 4096, 3, 17);
@@ -389,6 +392,39 @@ TEST_F(EngineTest, ZeroAllocationsPerRoundInSteadyState) {
   const std::size_t long_run = allocs_for_rounds(96);
   EXPECT_EQ(short_run, long_run);
   EXPECT_LE(long_run, 16u);
+}
+
+// ---- round-budget violation ------------------------------------------------
+// A uniform-send rule that never halts: the guaranteed budget violation
+// (local classes cannot carry the static kUniformSend member or the step
+// template, so it lives at namespace scope).
+
+struct NeverHalts {
+  using Message = std::uint64_t;
+  static constexpr bool kUniformSend = true;
+  std::optional<Message> send(NodeId v, int, int) { return v; }
+  template <class Inbox>
+  void step(NodeId, const Inbox&, int) {}
+  bool done(NodeId) const { return false; }
+};
+
+TEST_F(EngineTest, RoundBudgetViolationThrowsAndEngineIsReusable) {
+  // 4096 nodes = 64 frontier words, so at 4 threads the first round runs
+  // its phases on the pool before the budget check fires.
+  const Graph g = build::family("cycle", 4096, 3, 11);
+  const IdMap ids = shuffled_ids(g, 5);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    exec_context().threads = threads;
+    NeverHalts alg;
+    EXPECT_THROW(run_message_rounds(g, alg, 1), ContractViolation);
+
+    // The next run on the same thread (and pool) completes cleanly.
+    MessageEngineStats stats;
+    const MisResult res = luby_mis(g, ids, 7, &stats);
+    EXPECT_GT(res.rounds, 0);
+    EXPECT_EQ(stats.pooled_phases > 0, threads > 1);
+  }
 }
 
 }  // namespace
