@@ -11,19 +11,20 @@
 //       strategies: sequential shuffled sparse adversarial
 //   padlock_cli sweep    [--pairs p/a,p/a|all] [--family f1,f2] [--sizes
 //                  a,b,c] [--degree D] [--seed S] [--repeat R] [--threads T]
-//                  [--no-check] [--no-cache] [--json]
+//                  [--no-check] [--json]
 //       the batched execution plan: pairs × families × sizes through the
 //       thread pool (core/runner.hpp run_batch). The graph menu resolves
-//       through the sweep-wide GraphCache unless --no-cache builds every
-//       entry fresh (rows are bit-identical either way; see docs/API.md).
+//       through the sweep-wide GraphCache (see docs/API.md).
 //       family entries may be file-backed: --family file:<path> loads a
 //       .pg store or SNAP/text edge list (docs/API.md "File-backed graphs")
 //   padlock_cli graph convert --in <edgelist|.pg> --out <out.pg>
 //                  [--keep-self-loops] [--keep-duplicates]
 //   padlock_cli graph info    --in <edgelist|.pg>
 //       the binary graph store: convert ingests an edge list (or re-encodes
-//       a .pg) and writes the compact .pg format; info prints the header,
-//       degree stats, and component count of any graph file
+//       a .pg), writes the compact .pg format, and checks its own output
+//       (mmap reload + EDGES decode must reproduce the graph, else exit 1);
+//       info prints the header, degree stats, and component count of any
+//       graph file
 //   padlock_cli serve    [--port N|--socket <path>] [--host H] [--threads T]
 //                  [--max-in-flight M] [--queue-limit Q]
 //                  [--max-connections C] [--max-request-bytes B]
@@ -122,7 +123,7 @@ const std::map<std::string, std::vector<std::string_view>>& option_lists() {
         "repeat", "max-violations"}},
       {"sweep",
        {"pairs", "family", "sizes", "degree", "seed", "repeat", "threads",
-        "no-check", "no-cache", "json"}},
+        "no-check", "json"}},
       {"graph", {"in", "out", "keep-self-loops", "keep-duplicates"}},
       {"serve",
        {"port", "socket", "host", "threads", "max-in-flight", "queue-limit",
@@ -307,7 +308,6 @@ int cmd_sweep(const Args& a) {
   plan.options.check = !a.flag("no-check");
   plan.repeat = static_cast<int>(a.num("repeat", 1, 1, 1000000));
   plan.threads = static_cast<int>(a.num("threads", 0, 0, 65536));
-  plan.use_cache = !a.flag("no-cache");
 
   const SweepOutcome outcome = run_batch(plan);
   if (a.flag("json")) {
@@ -336,8 +336,9 @@ int cmd_sweep(const Args& a) {
 }
 
 // The binary-store surface: `graph convert` ingests an edge list (or
-// re-encodes an existing .pg) into the compact format; `graph info` prints
-// header metadata and degree/structure stats for either kind of file.
+// re-encodes an existing .pg) into the compact format and verifies what it
+// wrote; `graph info` prints header metadata and degree/structure stats for
+// either kind of file.
 int cmd_graph(const std::string& verb, const Args& a) {
   const std::string in = a.str("in", "");
   if (in.empty()) {
@@ -376,6 +377,26 @@ int cmd_graph(const std::string& verb, const Args& a) {
                 static_cast<unsigned long long>(info.edges_bytes),
                 static_cast<unsigned long long>(info.csr_bytes),
                 static_cast<unsigned long long>(info.checksum));
+
+    // Self-check: reload through the mmap path and cross-validate the
+    // compressed EDGES section against the zero-copy CSR view.
+    const Graph back = store::load_pg(out);
+    const auto edges = store::decode_pg_edges(out);
+    bool identical = back.num_nodes() == g.num_nodes() &&
+                     back.num_edges() == g.num_edges() &&
+                     edges.size() == g.num_edges();
+    for (EdgeId e = 0; identical && e < g.num_edges(); ++e) {
+      identical =
+          back.endpoints(e) == g.endpoints(e) && edges[e] == g.endpoints(e);
+    }
+    if (!identical) {
+      std::fprintf(stderr, "padlock_cli graph convert: SELF-CHECK FAILED: "
+                           "reload of %s does not reproduce the graph\n",
+                   out.c_str());
+      return 1;
+    }
+    std::printf("verified: mmap reload and EDGES decode reproduce the "
+                "graph exactly\n");
     return 0;
   }
   if (verb == "info") {

@@ -97,30 +97,6 @@ ColorReduceResult reduce_to_degree_plus_one(const Graph& g,
   return result;
 }
 
-NodeMap<int> greedy_distance2_coloring(const Graph& g, int* num_colors_out) {
-  PADLOCK_REQUIRE(g.loop_free());
-  NodeMap<int> colors(g, 0);
-  int max_used = 0;
-  std::unordered_set<int> used;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    used.clear();
-    for (int p = 0; p < g.degree(v); ++p) {
-      const NodeId u = g.neighbor(v, p);
-      if (colors[u] != 0) used.insert(colors[u]);
-      for (int q = 0; q < g.degree(u); ++q) {
-        const NodeId w = g.neighbor(u, q);
-        if (w != v && colors[w] != 0) used.insert(colors[w]);
-      }
-    }
-    int cand = 1;
-    while (used.contains(cand)) ++cand;
-    colors[v] = cand;
-    if (cand > max_used) max_used = cand;
-  }
-  if (num_colors_out != nullptr) *num_colors_out = max_used;
-  return colors;
-}
-
 NodeMap<int> greedy_distance_coloring(const Graph& g, int k,
                                       int* num_colors_out) {
   PADLOCK_REQUIRE(k >= 1);
@@ -192,25 +168,6 @@ bool is_distance_coloring(const Graph& g, const NodeMap<int>& colors, int k) {
   }
   return true;
 }
-
-bool is_distance2_coloring(const Graph& g, const NodeMap<int>& colors) {
-  if (colors.size() != g.num_nodes()) return false;
-  for (NodeId v = 0; v < g.num_nodes(); ++v)
-    if (colors[v] < 1) return false;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (int p = 0; p < g.degree(v); ++p) {
-      const NodeId u = g.neighbor(v, p);
-      if (u == v) return false;  // self-loop
-      if (colors[u] == colors[v]) return false;
-      for (int q = 0; q < g.degree(u); ++q) {
-        const NodeId w = g.neighbor(u, q);
-        if (w != v && colors[w] == colors[v]) return false;
-      }
-    }
-  }
-  return true;
-}
-
 
 void register_color_reduce_algos(AlgorithmRegistry& r) {
   r.register_algo({

@@ -4,10 +4,10 @@
 //    reduction — given a proper k-coloring, produce a proper
 //    (Δ+1)-coloring in k rounds (class c recolors greedily in round c).
 //
-//  * greedy_distance2_coloring: *centralized* greedy distance-2 coloring
-//    with at most Δ² + 1 colors. This is not a distributed algorithm; it
-//    generates the distance-2-coloring *input labels* that §4.6 of the
-//    paper adds to gadgets to make self-loop/parallel-edge errors
+//  * greedy_distance_coloring: *centralized* greedy distance-k coloring
+//    with at most Δ^k + 1 colors. This is not a distributed algorithm; at
+//    k = 2 it generates the distance-2-coloring *input labels* that §4.6
+//    of the paper adds to gadgets to make self-loop/parallel-edge errors
 //    node-edge checkable.
 #pragma once
 
@@ -29,22 +29,15 @@ ColorReduceResult reduce_to_degree_plus_one(const Graph& g,
                                             int num_colors,
                                             MessageEngineStats* stats = nullptr);
 
-/// Proper distance-2 coloring (distinct colors within distance 2), greedy,
-/// 1-based. Returns the number of colors used via `num_colors_out`.
-/// Requires a loop-free graph (a self-loop admits no proper coloring).
-NodeMap<int> greedy_distance2_coloring(const Graph& g, int* num_colors_out);
-
-/// True iff `colors` assigns distinct colors to any two distinct nodes at
-/// distance <= 2 (and to endpoints of parallel edges).
-bool is_distance2_coloring(const Graph& g, const NodeMap<int>& colors);
-
 /// Greedy proper distance-k coloring (distinct colors within distance k),
-/// 1-based; at most Δ^k + 1 colors. Centralized input generator, like
-/// greedy_distance2_coloring. Requires a loop-free graph.
+/// 1-based; at most Δ^k + 1 colors. Returns the number of colors used via
+/// `num_colors_out` (may be null). Centralized input generator. Requires a
+/// loop-free graph (a self-loop admits no proper coloring).
 NodeMap<int> greedy_distance_coloring(const Graph& g, int k,
                                       int* num_colors_out);
 
-/// True iff distinct nodes within distance k always have distinct colors.
+/// True iff distinct nodes within distance k always have distinct colors
+/// (so endpoints of parallel edges differ too); false on a self-loop.
 bool is_distance_coloring(const Graph& g, const NodeMap<int>& colors, int k);
 
 class AlgorithmRegistry;

@@ -1,8 +1,8 @@
 // Distributed distance-k coloring and (α, β)-ruling sets via graph powers.
 //
 // The gadget constructions of §4.6 consume a distance-2 coloring as an
-// *input* (generated centrally by greedy_distance2_coloring). This module
-// closes the loop: the same colorings are computable distributedly in
+// *input* (generated centrally by greedy_distance_coloring(g, 2, …)). This
+// module closes the loop: the same colorings are computable distributedly in
 // Θ(k · log* n) rounds by running Linial on G^k — each G^k round is a
 // k-hop gather on G. Likewise, an (α, β)-ruling set is an AGLP run on
 // G^{α-1}.

@@ -29,12 +29,14 @@ std::shared_ptr<const Graph> GraphCache::get_or_build(
       build::family(family, nodes, degree, seed));
   std::lock_guard<std::mutex> lock(mu_);
   const auto [it, inserted] = entries_.emplace(std::move(key), built);
-  // Take the result before eviction runs: at tiny capacities (0 included)
-  // the entry just inserted may be the one evicted, invalidating `it`.
   std::shared_ptr<const Graph> result = it->second;
   if (inserted) {
     order_.push_back(it->first);
-    evict_to_capacity_locked();
+    if (order_.size() > kCapacity) {
+      entries_.erase(order_.front());  // outstanding shared_ptrs stay valid
+      order_.pop_front();
+      ++stats_.evictions;
+    }
   }
   ++stats_.misses;
   if (hit != nullptr) *hit = false;
@@ -60,25 +62,6 @@ GraphCacheStats GraphCache::stats() const {
 void GraphCache::reset_stats() {
   std::lock_guard<std::mutex> lock(mu_);
   stats_ = {};
-}
-
-void GraphCache::set_capacity(std::size_t max_entries) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = max_entries;
-  evict_to_capacity_locked();
-}
-
-std::size_t GraphCache::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
-}
-
-void GraphCache::evict_to_capacity_locked() {
-  while (entries_.size() > capacity_ && !order_.empty()) {
-    entries_.erase(order_.front());  // outstanding shared_ptrs stay valid
-    order_.pop_front();
-    ++stats_.evictions;
-  }
 }
 
 }  // namespace padlock

@@ -12,11 +12,9 @@
 // read-only by construction.
 //
 // The cache is process-wide, thread-safe, and bounded (FIFO eviction at
-// `capacity` entries, default 32) so size-ramp sweeps cannot pin unbounded
-// memory. `padlock_cli sweep --no-cache` (ExecutionPlan::use_cache = false)
-// bypasses it entirely — the bypass builds fresh per menu entry and leaves
-// the cache untouched, so cached and uncached runs can be compared
-// bit-for-bit.
+// kCapacity = 32 entries) so size-ramp sweeps cannot pin unbounded memory.
+// Every run_batch menu resolves through it; builders are deterministic, so
+// a cold run (all misses) and a warm run produce bit-identical rows.
 #pragma once
 
 #include <cstdint>
@@ -60,17 +58,14 @@ class GraphCache {
   [[nodiscard]] GraphCacheStats stats() const;
   void reset_stats();
 
-  /// FIFO eviction threshold; shrinking evicts immediately.
-  void set_capacity(std::size_t max_entries);
-  [[nodiscard]] std::size_t capacity() const;
+  /// FIFO eviction threshold: inserting entry kCapacity + 1 evicts the
+  /// oldest one (outstanding shared_ptrs to it stay valid).
+  static constexpr std::size_t kCapacity = 32;
 
  private:
-  void evict_to_capacity_locked();
-
   mutable std::mutex mu_;
   std::map<build::FamilyKey, std::shared_ptr<const Graph>> entries_;
   std::deque<build::FamilyKey> order_;  // insertion order, for FIFO eviction
-  std::size_t capacity_ = 32;
   GraphCacheStats stats_;
 };
 

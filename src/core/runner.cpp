@@ -105,9 +105,8 @@ SolveOutcome run_with_ids(const ProblemSpec& problem, const AlgoSpec& algo,
 SolveOutcome run(const ProblemSpec& problem, const AlgoSpec& algo,
                  const Graph& g, const RunOptions& opts) {
   const IdMap ids = make_ids(g, opts.ids, opts.seed);
-  const std::uint64_t id_space =
-      opts.id_space != 0 ? opts.id_space : default_id_space(g, opts.ids);
-  return run_with_ids(problem, algo, g, ids, id_space, opts);
+  return run_with_ids(problem, algo, g, ids, default_id_space(g, opts.ids),
+                      opts);
 }
 
 SolveOutcome run(const std::string& problem, const std::string& algo,
@@ -307,33 +306,25 @@ SweepOutcome run_batch(const ExecutionPlan& plan) {
   // graphs. A family that fails to build (unknown name, invalid parameters,
   // bad_alloc) poisons only the rows that needed it.
   //
-  // Cached plans dedupe by canonical key first (a later duplicate of an
-  // earlier spec is a hit without touching the cache) and pull each
-  // distinct spec through the process-wide GraphCache; uncached plans keep
-  // the pre-cache behavior — one fresh build per menu entry.
+  // The menu dedupes by canonical key first (a later duplicate of an
+  // earlier spec is a hit without touching the cache) and pulls each
+  // distinct spec through the process-wide GraphCache.
   std::vector<std::shared_ptr<const Graph>> graphs(plan.graphs.size());
   std::vector<std::string> graph_errors(plan.graphs.size());
-  outcome.cached = plan.use_cache;
+  outcome.cached = true;
   std::vector<std::size_t> build_list;  // menu indices that actually build
   std::vector<std::size_t> alias(plan.graphs.size());
-  if (plan.use_cache) {
-    std::map<build::FamilyKey, std::size_t> first_of;
-    for (std::size_t i = 0; i < plan.graphs.size(); ++i) {
-      const GraphSpec& s = plan.graphs[i];
-      const auto [it, inserted] = first_of.try_emplace(
-          build::canonical_key(s.family, s.nodes, s.degree, s.seed), i);
-      if (inserted) {
-        build_list.push_back(i);
-      } else {
-        ++outcome.cache_hits;  // duplicate row of this very plan
-      }
-      alias[i] = it->second;
-    }
-  } else {
-    for (std::size_t i = 0; i < plan.graphs.size(); ++i) {
+  std::map<build::FamilyKey, std::size_t> first_of;
+  for (std::size_t i = 0; i < plan.graphs.size(); ++i) {
+    const GraphSpec& s = plan.graphs[i];
+    const auto [it, inserted] = first_of.try_emplace(
+        build::canonical_key(s.family, s.nodes, s.degree, s.seed), i);
+    if (inserted) {
       build_list.push_back(i);
-      alias[i] = i;
+    } else {
+      ++outcome.cache_hits;  // duplicate row of this very plan
     }
+    alias[i] = it->second;
   }
   std::atomic<std::uint64_t> menu_hits{0};
   std::atomic<std::uint64_t> menu_misses{0};
@@ -342,16 +333,11 @@ SweepOutcome run_batch(const ExecutionPlan& plan) {
       const std::size_t i = build_list[bi];
       const GraphSpec& spec = plan.graphs[i];
       try {
-        if (plan.use_cache) {
-          bool hit = false;
-          graphs[i] = GraphCache::instance().get_or_build(
-              spec.family, spec.nodes, spec.degree, spec.seed, &hit);
-          (hit ? menu_hits : menu_misses).fetch_add(1,
-                                                    std::memory_order_relaxed);
-        } else {
-          graphs[i] = std::make_shared<const Graph>(build::family(
-              spec.family, spec.nodes, spec.degree, spec.seed));
-        }
+        bool hit = false;
+        graphs[i] = GraphCache::instance().get_or_build(
+            spec.family, spec.nodes, spec.degree, spec.seed, &hit);
+        (hit ? menu_hits : menu_misses).fetch_add(1,
+                                                  std::memory_order_relaxed);
       } catch (...) {
         graph_errors[i] = describe_current_exception();
       }
@@ -363,10 +349,8 @@ SweepOutcome run_batch(const ExecutionPlan& plan) {
       graph_errors[i] = graph_errors[alias[i]];
     }
   }
-  if (plan.use_cache) {
-    outcome.cache_hits += menu_hits.load();
-    outcome.cache_misses += menu_misses.load();
-  }
+  outcome.cache_hits += menu_hits.load();
+  outcome.cache_misses += menu_misses.load();
 
   // One row per (pair, graph) cell, pair-major; each cell is an independent
   // pool task, so the whole cross-product × repeat sweep saturates the
@@ -478,9 +462,8 @@ SweepOutcome run_batch(const ExecutionPlan& plan) {
 }
 
 SweepOutcome run_scenarios(const std::vector<ScenarioTask>& scenarios,
-                           int repeat, int threads) {
+                           int repeat) {
   PADLOCK_REQUIRE(repeat >= 1);
-  ThreadsGuard guard(threads);
   SweepOutcome outcome;
   outcome.threads = resolved_threads();
   const auto batch_t0 = Clock::now();

@@ -44,13 +44,10 @@ enum class IdStrategy {
 [[nodiscard]] IdStrategy id_strategy_from_name(const std::string& name);
 
 struct RunOptions {
-  /// Defaults to the process-wide base seed (exec_context().seed, itself 1
-  /// unless a surface sets it).
-  std::uint64_t seed = exec_context().seed;
+  std::uint64_t seed = 1;
+  /// The id space follows from the strategy: n, or n^3 for sparse ids
+  /// (run_with_ids takes caller-supplied ids and id space).
   IdStrategy ids = IdStrategy::kShuffled;
-  /// Id space the algorithm's schedule is planned for; 0 derives it from
-  /// the strategy (n, or n^3 for sparse ids).
-  std::uint64_t id_space = 0;
   /// Every run is checked by default.
   bool check = true;
   std::size_t max_violations = 16;
@@ -104,13 +101,6 @@ struct ExecutionPlan {
   /// Worker threads for this batch: 0 = keep exec_context() as is,
   /// otherwise exec_context().threads is set (and restored) around the run.
   int threads = 0;
-  /// Resolve the graph menu through the process-wide GraphCache
-  /// (core/graph_cache.hpp): identical specs — within this plan or across
-  /// earlier batches — share one immutable instance. false (`padlock_cli
-  /// sweep --no-cache`) builds every menu entry fresh and leaves the cache
-  /// untouched; the rows are bit-identical either way (builders are
-  /// deterministic), only the wall clock and the cache counters differ.
-  bool use_cache = true;
   /// Row-streaming hook (the serve daemon's per-row delivery path,
   /// docs/API.md "Serve"): invoked once per finished row — ok, skipped,
   /// verify_failed, and error rows alike — from whichever pool worker
@@ -183,8 +173,8 @@ struct SweepOutcome {
   /// Graph-cache accounting of this batch's menu resolution: a hit is a
   /// menu entry served without building (already cached, or a duplicate
   /// spec earlier in the same plan). Both stay 0 for run_scenarios batches
-  /// (no menu) and for use_cache == false plans.
-  bool cached = false;          // menu went through the GraphCache
+  /// (no menu).
+  bool cached = false;          // true for run_batch, false for run_scenarios
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
 
@@ -193,7 +183,7 @@ struct SweepOutcome {
 };
 
 /// One-line cache accounting for bench/CLI footers: "graph cache: 3 hits, 5
-/// misses" (or "graph cache: off" for uncached / menu-less batches).
+/// misses" (or "graph cache: off" for menu-less run_scenarios batches).
 [[nodiscard]] std::string cache_note(const SweepOutcome& outcome);
 
 /// Prints every failed row of `outcome` to stderr, prefixed with `label`,
@@ -210,9 +200,9 @@ int finish_bench(const SweepOutcome& outcome, const std::string& label);
 
 /// Executes the plan. The graph menu resolves through the sweep-wide
 /// GraphCache (one build per distinct canonical spec, shared across rows,
-/// repeats, threads, and earlier batches; use_cache = false builds fresh);
-/// runs are dispatched through the thread pool at single-run granularity. The
-/// rows are bit-identical for every thread count.
+/// repeats, threads, and earlier batches); runs are dispatched through the
+/// thread pool at single-run granularity. The rows are bit-identical for
+/// every thread count.
 ///
 /// Failure is row-scoped: an unknown pair name, a graph family that fails
 /// to build, a throwing solver, or a contract violation poisons exactly the
@@ -227,14 +217,14 @@ SweepOutcome run_batch(const ExecutionPlan& plan);
 /// machinery as run_batch; the body is invoked once per repeat and must be
 /// safe to run concurrently with the other scenarios in the batch. A body
 /// that throws poisons only its own row (status kError), with the remaining
-/// repeats of that row abandoned.
+/// repeats of that row abandoned. The batch runs at exec_context().threads.
 struct ScenarioTask {
   std::string label;
   std::function<void(SweepRow&)> body;
 };
 
 SweepOutcome run_scenarios(const std::vector<ScenarioTask>& scenarios,
-                           int repeat = 1, int threads = 0);
+                           int repeat = 1);
 
 /// Renders the outcome as one strict JSON object — the machine-readable
 /// sweep format written by `padlock_cli sweep --json` and bench_micro's

@@ -16,7 +16,7 @@ GatherScratchStats gather_scratch_stats() {
   return {s.slab_growths(), s.slab_capacity()};
 }
 
-RoundReport run_gather(const Graph& g, ViewMode mode, const GatherFn& fn) {
+RoundReport run_gather(const Graph& g, const GatherFn& fn) {
   NodeMap<int> per_node(g, 0);
   // Each chunk touches only its own nodes' slots of per_node, and each node
   // gets a fresh LocalView over the worker's scratch, so the result cannot
@@ -26,7 +26,7 @@ RoundReport run_gather(const Graph& g, ViewMode mode, const GatherFn& fn) {
     scratch.bind(g);
     for (std::size_t v = begin; v < end; ++v) {
       const auto node = static_cast<NodeId>(v);
-      LocalView view(g, node, mode, scratch);
+      LocalView view(g, node, scratch);
       fn(view, node);
       per_node[node] = view.radius();
     }

@@ -62,7 +62,7 @@ using GatherFn = std::function<void(LocalView&, NodeId)>;
 /// dispatching node chunks across the global thread pool. Views borrow the
 /// calling worker's thread_local BallScratch, so repeated gathers reuse the
 /// same slabs (zero per-node allocation after warmup).
-RoundReport run_gather(const Graph& g, ViewMode mode, const GatherFn& fn);
+RoundReport run_gather(const Graph& g, const GatherFn& fn);
 
 /// The calling thread's gather scratch (the one run_gather's chunks borrow
 /// when they execute on this thread). Exposed for tests and for workloads

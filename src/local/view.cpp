@@ -4,18 +4,16 @@
 
 namespace padlock {
 
-LocalView::LocalView(const Graph& g, NodeId center, ViewMode mode)
+LocalView::LocalView(const Graph& g, NodeId center)
     : g_(g),
       center_(center),
-      mode_(mode),
       owned_(std::make_unique<BallScratch>()),
       scratch_(owned_.get()) {
   PADLOCK_REQUIRE(center < g.num_nodes());
 }
 
-LocalView::LocalView(const Graph& g, NodeId center, ViewMode mode,
-                     BallScratch& scratch)
-    : g_(g), center_(center), mode_(mode), scratch_(&scratch) {
+LocalView::LocalView(const Graph& g, NodeId center, BallScratch& scratch)
+    : g_(g), center_(center), scratch_(&scratch) {
   PADLOCK_REQUIRE(center < g.num_nodes());
 }
 
@@ -57,19 +55,16 @@ int LocalView::dist(NodeId v) const {
 }
 
 bool LocalView::knows_node(NodeId v) const {
-  if (mode_ == ViewMode::kAudit) return true;
   materialize();
   return in_ball(v);
 }
 
 bool LocalView::knows_ports(NodeId v) const {
-  if (mode_ == ViewMode::kAudit) return true;
   materialize();
   return ports_in_ball(v);
 }
 
 void LocalView::check_node(NodeId v) const {
-  if (mode_ == ViewMode::kAudit) return;
   materialize();
   if (!in_ball(v))
     contract_failure("locality", "read of node outside gathered ball",
@@ -77,7 +72,6 @@ void LocalView::check_node(NodeId v) const {
 }
 
 void LocalView::check_ports(NodeId v) const {
-  if (mode_ == ViewMode::kAudit) return;
   materialize();
   if (!ports_in_ball(v))
     contract_failure("locality", "read of ports outside gathered ball",
@@ -85,7 +79,6 @@ void LocalView::check_ports(NodeId v) const {
 }
 
 void LocalView::check_edge(EdgeId e) const {
-  if (mode_ == ViewMode::kAudit) return;
   materialize();
   // An edge is known iff one endpoint lies strictly inside the ball.
   const auto [u, v] = g_.endpoints(e);

@@ -9,21 +9,12 @@
 //   * node data (id, degree, input label) of v — needs radius >= dist(v);
 //   * ports/edges of v (and hence v's neighbors) — needs radius >= dist(v)+1.
 //
-// Two accounting modes share the same algorithm code AND the same ball
-// machinery — an epoch-stamped flat distance slab (BallScratch) over the
-// graph's CSR port slab, instead of the per-ball hash map this layer
-// started with:
-//
-//   * Strict  — every read materializes the BFS ball into the scratch (a
-//     no-op after the first read at the current radius) and *throws
-//     ContractViolation* on any read outside it. Used in tests and at bench
-//     scale now that a ball costs flat-array scans instead of hash-map
-//     allocation churn; proves algorithms are genuinely local.
-//   * Audit   — reads pass through unchecked and never touch the ball, but
-//     the requested radius is still recorded. `dist` is the one audit-mode
-//     query that needs the ball; it runs the same scratch scan as strict
-//     mode (no separate hash path). Tests assert Strict ≡ Audit (same
-//     outputs, same per-node radii) across the whole registry.
+// Every view is strict: a read materializes the BFS ball into an
+// epoch-stamped flat distance slab (BallScratch) over the graph's CSR port
+// slab (a no-op after the first read at the current radius) and *throws
+// ContractViolation* on any read outside it. A ball costs flat-array scans,
+// not hash-map allocation churn, so the same check runs in tests and at
+// bench scale; it is the oracle that proves algorithms are genuinely local.
 //
 // Views either borrow a caller-owned BallScratch (the engine path: one
 // thread_local scratch per pool worker, reused across every node of a
@@ -41,30 +32,24 @@
 
 namespace padlock {
 
-enum class ViewMode { kStrict, kAudit };
-
 class LocalView {
  public:
   /// Standalone view with a private scratch (allocates; tests, one-offs).
-  LocalView(const Graph& g, NodeId center, ViewMode mode);
+  LocalView(const Graph& g, NodeId center);
   /// Borrows `scratch` (the engine path; see ball_scratch.hpp lifetime
   /// rules — constructing the next borrowing view invalidates this one's
   /// ball).
-  LocalView(const Graph& g, NodeId center, ViewMode mode,
-            BallScratch& scratch);
+  LocalView(const Graph& g, NodeId center, BallScratch& scratch);
 
   [[nodiscard]] NodeId center() const { return center_; }
   [[nodiscard]] int radius() const { return radius_; }
-  [[nodiscard]] ViewMode mode() const { return mode_; }
-  [[nodiscard]] const Graph& graph_for_metrics() const { return g_; }
 
   /// Gathers further, to radius r (no-op if already >= r). This is the only
   /// operation that costs communication rounds.
   void extend(int r);
 
   /// Distance from the center to v if v is inside the gathered ball; throws
-  /// when v is outside (both modes — it is a ball-membership query, not a
-  /// locality check). Runs the shared flat scratch scan in both modes.
+  /// when v is outside.
   [[nodiscard]] int dist(NodeId v) const;
 
   /// True iff the node's data (id/degree/input) is within the view.
@@ -132,7 +117,6 @@ class LocalView {
 
   const Graph& g_;
   NodeId center_;
-  ViewMode mode_;
   int radius_ = 0;
   std::unique_ptr<BallScratch> owned_;  // standalone constructor only
   BallScratch* scratch_;                // never null

@@ -96,10 +96,6 @@ bool apply_common_knob(const std::string& key, const JsonValue& v,
     plan.options.check = require_bool(v, key);
     return true;
   }
-  if (key == "cache") {
-    plan.use_cache = require_bool(v, key);
-    return true;
-  }
   return false;
 }
 
@@ -110,7 +106,7 @@ void parse_run(const JsonValue& root, Request& req,
                const RequestLimits& limits) {
   static constexpr const char* kKeys[] = {
       "op",     "id",   "problem", "algo", "family", "nodes",
-      "degree", "seed", "repeat",  "ids",  "check",  "cache"};
+      "degree", "seed", "repeat",  "ids",  "check"};
   std::string problem, algo;
   GraphSpec spec;
   for (const auto& [key, value] : root.members) {
@@ -138,7 +134,7 @@ void parse_sweep(const JsonValue& root, Request& req,
                  const RequestLimits& limits) {
   static constexpr const char* kKeys[] = {
       "op",     "id",  "pairs", "families", "sizes", "degree", "seed",
-      "repeat", "ids", "check", "cache"};
+      "repeat", "ids", "check"};
   std::vector<std::string> families{"regular"};
   std::vector<std::size_t> sizes{256};
   for (const auto& [key, value] : root.members) {

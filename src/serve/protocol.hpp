@@ -20,8 +20,9 @@
 //                   "sizes": [...], ...knobs}             full plan
 //   {"op": "shutdown"}                 graceful drain + exit
 // Shared knobs (all optional): "id" (string echoed on every response line),
-// "degree", "seed", "repeat", "ids" (id-strategy name), "check" (bool),
-// "cache" (bool). Any other key is refused as unknown.
+// "degree", "seed", "repeat", "ids" (id-strategy name), "check" (bool).
+// Any other key is refused as unknown; every menu resolves through the
+// process-wide GraphCache.
 //
 // Responses (one JSON object per line, every line echoing the request id):
 //   {"type": "accepted", ...}          the request started executing

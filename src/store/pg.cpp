@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <type_traits>
 
 #include "store/codec.hpp"
@@ -94,6 +95,15 @@ OpenPg open_pg(const std::string& path) {
   PG_CHECK(h.endian == kEndianMarker,
            "endianness mismatch: .pg written on a byte-swapped machine");
   PG_CHECK(h.reserved == 0, "corrupt header: nonzero reserved field");
+  // Bound the counts and the EDGES size before any size arithmetic below
+  // can wrap: node ids are NodeId, edge ids EdgeId, and a port index must
+  // fit in 32 bits.
+  PG_CHECK(h.nodes <= std::numeric_limits<NodeId>::max(),
+           "corrupt header: node count beyond the NodeId range");
+  PG_CHECK(h.edges <= std::numeric_limits<std::uint32_t>::max() / 2,
+           "corrupt header: 2 * edges beyond the 32-bit port range");
+  PG_CHECK(h.edges_size <= pg.file->size() - sizeof(PgHeader),
+           "corrupt header: EDGES section larger than the file");
   PG_CHECK(h.edges_offset == sizeof(PgHeader),
            "corrupt header: EDGES section must follow the header");
   PG_CHECK(h.csr_offset == align8(h.edges_offset + h.edges_size),
@@ -210,9 +220,9 @@ PgInfo read_pg_info(const std::string& path) {
   return info;
 }
 
-Graph load_pg(const std::string& path, bool verify_checksum) {
+Graph load_pg(const std::string& path) {
   const OpenPg pg = open_pg(path);
-  if (verify_checksum) verify_payload_checksum(pg);
+  verify_payload_checksum(pg);
   const PgHeader& h = pg.header;
   const std::uint8_t* base = pg.file->data() + h.csr_offset;
 
@@ -240,6 +250,28 @@ Graph load_pg(const std::string& path, bool verify_checksum) {
            "corrupt CSR: first_port does not end at 2*edges");
   PG_CHECK(max_deg == h.max_degree,
            "corrupt CSR: header max degree disagrees with first_port");
+
+  // The other three slabs, one O(m) pass: Graph::adopt indexes first_port
+  // by endpoint and ports by side port, so every endpoint must be a node,
+  // every side port a port of its endpoint, and that port must hold the
+  // half-edge back. Distinct half-edges then own distinct port slots, so
+  // the 2m half-edges fill the 2m slots and every port entry is valid too.
+  for (std::uint64_t e = 0; e < h.edges; ++e) {
+    const NodeId ends[2] = {endpoints[e].first, endpoints[e].second};
+    const int sides[2] = {side_port[e].first, side_port[e].second};
+    for (int side = 0; side < 2; ++side) {
+      const NodeId u = ends[side];
+      PG_CHECK(u < h.nodes, "corrupt CSR: edge endpoint out of node range");
+      PG_CHECK(sides[side] >= 0 &&
+                   static_cast<std::uint64_t>(sides[side]) <
+                       first_port[u + 1] - first_port[u],
+               "corrupt CSR: side port beyond its endpoint's degree");
+      const HalfEdge back =
+          ports[first_port[u] + static_cast<std::uint64_t>(sides[side])];
+      PG_CHECK(back.edge == e && back.side == side,
+               "corrupt CSR: port slab disagrees with endpoints/side ports");
+    }
+  }
 
   std::shared_ptr<const void> keep = pg.file;
   return Graph::adopt(

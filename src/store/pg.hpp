@@ -22,13 +22,14 @@
 //
 //   CSR section (8-byte aligned): the Graph's four slabs verbatim —
 //   first_port[n+1] (u64), ports[2m] (HalfEdge), endpoints[m] (u32 pair),
-//   side_port[m] (int pair). The mmap loader validates the header +
-//   checksum + first_port monotonicity, then *adopts* these bytes as
-//   Graph slabs without copying or decoding: load cost is a checksum
-//   stream over the mapping, not a parse.
+//   side_port[m] (int pair). The mmap loader validates the header, the
+//   checksum and the slabs' structure in one O(n + m) pass, then *adopts*
+//   these bytes as Graph slabs without copying or decoding: load cost is
+//   a checksum stream plus that pass over the mapping, not a parse.
 //
 // Every malformed-input path (truncated file, bad magic, version skew,
-// checksum mismatch, inconsistent sections, corrupt varints) throws
+// node/edge counts beyond the NodeId/EdgeId range, checksum mismatch,
+// inconsistent sections or slabs, corrupt varints) throws
 // ContractViolation, so a bad file poisons exactly its sweep row.
 #pragma once
 
@@ -69,12 +70,12 @@ void write_pg(const std::string& path, const Graph& g);
 /// Reads and validates the 80-byte header only.
 [[nodiscard]] PgInfo read_pg_info(const std::string& path);
 
-/// mmap-backed zero-copy load: validates the header, the payload checksum
-/// (skippable for hot reloads of trusted files), and the CSR structure,
-/// then returns a Graph whose slabs view the mapping directly. The
-/// returned Graph (and any copy of it) keeps the mapping alive.
-[[nodiscard]] Graph load_pg(const std::string& path,
-                            bool verify_checksum = true);
+/// mmap-backed zero-copy load: validates the header, the payload checksum,
+/// and the CSR structure (offsets, endpoint range, and that the port and
+/// side-port slabs point at each other), then returns a Graph whose slabs
+/// view the mapping directly. The returned Graph (and any copy of it)
+/// keeps the mapping alive.
+[[nodiscard]] Graph load_pg(const std::string& path);
 
 /// Decodes the EDGES varint section into an explicit edge list (test /
 /// audit path; the zero-copy loader never needs it).

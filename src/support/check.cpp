@@ -1,9 +1,6 @@
 #include "support/check.hpp"
 
-#include <atomic>
-#include <cstdio>
 #include <cstdlib>
-#include <string_view>
 #include <typeinfo>
 
 #if defined(__GNUG__)
@@ -13,15 +10,6 @@
 namespace padlock {
 
 namespace {
-
-std::atomic<bool>& abort_flag() {
-  static std::atomic<bool> flag{[] {
-    const char* env = std::getenv("PADLOCK_ABORT_ON_CONTRACT");
-    return env != nullptr && std::string_view(env) != "" &&
-           std::string_view(env) != "0";
-  }()};
-  return flag;
-}
 
 std::string demangle(const char* name) {
 #if defined(__GNUG__)
@@ -42,19 +30,8 @@ ContractViolation::ContractViolation(const char* kind, const char* expr,
     : std::logic_error(std::string(kind) + " failed: " + expr + " (" + file +
                        ":" + std::to_string(line) + ")") {}
 
-bool contract_abort_enabled() { return abort_flag().load(); }
-
-void set_contract_abort(bool abort_on_violation) {
-  abort_flag().store(abort_on_violation);
-}
-
 void contract_failure(const char* kind, const char* expr, const char* file,
                       int line) {
-  if (contract_abort_enabled()) {
-    std::fprintf(stderr, "padlock: %s failed: %s (%s:%d)\n", kind, expr, file,
-                 line);
-    std::abort();
-  }
   throw ContractViolation(kind, expr, file, line);
 }
 

@@ -4,11 +4,9 @@
 // internal invariants; it is active in all build types because the library is
 // a research artifact where silent corruption is worse than a crash.
 //
-// A violated contract throws ContractViolation so batched sweeps can
-// attribute the failure to the offending row instead of taking the whole
-// process down. Set the PADLOCK_ABORT_ON_CONTRACT environment variable (or
-// call set_contract_abort(true)) to restore the original print-and-abort
-// behaviour when a debuggable core dump is worth more than fault isolation.
+// A violated contract always throws ContractViolation so batched sweeps
+// can attribute the failure to the offending row instead of taking the
+// whole process down.
 #pragma once
 
 #include <stdexcept>
@@ -25,13 +23,6 @@ class ContractViolation : public std::logic_error {
   ContractViolation(const char* kind, const char* expr, const char* file,
                     int line);
 };
-
-/// True iff contract violations abort instead of throwing. Initialised from
-/// the PADLOCK_ABORT_ON_CONTRACT environment variable ("0"/"" = off).
-[[nodiscard]] bool contract_abort_enabled();
-
-/// Overrides the abort-on-violation mode at runtime (debugging aid).
-void set_contract_abort(bool abort_on_violation);
 
 [[noreturn]] void contract_failure(const char* kind, const char* expr,
                                    const char* file, int line);

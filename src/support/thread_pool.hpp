@@ -9,11 +9,10 @@
 // path: chunks partition the index range deterministically and anything
 // order-sensitive (violation lists, sweep rows) is merged in chunk order.
 //
-// The process-wide ExecContext carries the knobs every layer consults:
+// The process-wide ExecContext carries the one knob every layer consults:
 //
 //   exec_context().threads  worker count (0 = hardware concurrency,
 //                           1 = serial, the default)
-//   exec_context().seed     base seed for seeded sweeps
 //
 // Results are bit-identical to a serial run at every thread count.
 //
@@ -39,7 +38,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -49,8 +47,7 @@ namespace padlock {
 
 /// Process-wide execution knobs (see file comment).
 struct ExecContext {
-  int threads = 1;         // 0 = hardware concurrency
-  std::uint64_t seed = 1;  // base seed: the default RunOptions.seed
+  int threads = 1;  // 0 = hardware concurrency
 };
 
 /// The mutable global context consulted by run_gather, check_ne_lcl and

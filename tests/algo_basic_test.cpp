@@ -78,8 +78,8 @@ TEST(ColorReduce, CycleSixToThree) {
 TEST(ColorReduce, TorusToFivePlusOne) {
   Graph g = build::torus(6, 8);
   int k = 0;
-  const auto d2 = greedy_distance2_coloring(g, &k);
-  ASSERT_TRUE(is_distance2_coloring(g, d2));
+  const auto d2 = greedy_distance_coloring(g, 2, &k);
+  ASSERT_TRUE(is_distance_coloring(g, d2, 2));
   const auto res = reduce_to_degree_plus_one(g, d2, k);
   EXPECT_TRUE(is_proper_coloring(g, res.colors, g.max_degree() + 1));
 }
@@ -88,8 +88,8 @@ TEST(ColorReduce, Distance2ColoringBounds) {
   for (std::uint64_t seed : {1ull, 2ull}) {
     Graph g = build::random_regular_simple(60, 3, seed);
     int k = 0;
-    const auto colors = greedy_distance2_coloring(g, &k);
-    EXPECT_TRUE(is_distance2_coloring(g, colors));
+    const auto colors = greedy_distance_coloring(g, 2, &k);
+    EXPECT_TRUE(is_distance_coloring(g, colors, 2));
     EXPECT_LE(k, 3 * 3 + 1);
   }
 }
@@ -100,7 +100,7 @@ TEST(ColorReduce, Distance2RejectsTooClose) {
   colors[0] = 1;
   colors[1] = 2;
   colors[2] = 1;  // distance 2 from node 0
-  EXPECT_FALSE(is_distance2_coloring(g, colors));
+  EXPECT_FALSE(is_distance_coloring(g, colors, 2));
 }
 
 // ---- Linial color reduction -----------------------------------------------------
@@ -243,7 +243,7 @@ TEST(Matching, FromColoringIsMaximal) {
 TEST(Matching, FromColoringOnTorus) {
   Graph g = build::torus(4, 6);
   int k = 0;
-  const auto d2 = greedy_distance2_coloring(g, &k);
+  const auto d2 = greedy_distance_coloring(g, 2, &k);
   const auto res = matching_from_coloring(g, d2, k);
   EXPECT_TRUE(is_maximal_matching(g, res.in_match));
 }

@@ -76,10 +76,9 @@ TEST_F(DeterminismTest, GatherEngineSerialEqualsParallel) {
   };
 
   exec_context().threads = 1;
-  const RoundReport serial = run_gather(g, ViewMode::kStrict, rule(out_serial));
+  const RoundReport serial = run_gather(g, rule(out_serial));
   exec_context().threads = 4;
-  const RoundReport parallel =
-      run_gather(g, ViewMode::kStrict, rule(out_parallel));
+  const RoundReport parallel = run_gather(g, rule(out_parallel));
 
   EXPECT_TRUE(serial == parallel);
   EXPECT_EQ(serial.rounds, 3);  // max over 1 + v % 3

@@ -250,7 +250,8 @@ TEST_F(FaultIsolationTest, ThrowingScenarioPoisonsOnlyItsRow) {
       {"saboteur",
        [](SweepRow&) { throw std::invalid_argument("scenario boom"); }},
       {"good-two", [](SweepRow& row) { row.rounds = 3; }}};
-  const SweepOutcome out = run_scenarios(tasks, 2, 2);
+  exec_context().threads = 2;  // restored by the fixture's TearDown
+  const SweepOutcome out = run_scenarios(tasks, 2);
   ASSERT_EQ(out.rows.size(), 3u);
   EXPECT_FALSE(out.all_ok());
 
@@ -287,16 +288,6 @@ TEST_F(FaultIsolationTest, ContractMessageCarriesExpressionAndLocation) {
     EXPECT_NE(what.find("2 + 2 == 5"), std::string::npos);
     EXPECT_NE(what.find("fault_isolation_test.cpp"), std::string::npos);
   }
-}
-
-TEST_F(FaultIsolationTest, AbortOnContractIsOptIn) {
-  EXPECT_FALSE(contract_abort_enabled());  // throwing is the default
-  EXPECT_DEATH(
-      {
-        set_contract_abort(true);
-        PADLOCK_REQUIRE(false);
-      },
-      "requirement failed");
 }
 
 // ---- to_json under a strict parser -----------------------------------------

@@ -12,7 +12,7 @@
 //     registered pairs on the sample match tests/data/file_family_golden
 //     .json byte for byte (wall clocks and the machine-dependent sample
 //     path normalized out);
-//   * execution-mode bit-identity — cached vs uncached and serial vs
+//   * execution-mode bit-identity — cold vs warm graph cache and serial vs
 //     threaded runs of the file-family plan render identical JSON.
 //
 // Deliberate changes regenerate both fixtures with PADLOCK_REGEN_GOLDEN=1.
@@ -130,34 +130,31 @@ TEST(FileFamilyGolden, AllRegisteredPairsMatchTheGoldenMap) {
 
 // ---- execution-mode bit-identity -------------------------------------------
 
-TEST(FileFamilyGolden, CachedUncachedAndThreadedRunsAreBitIdentical) {
+TEST(FileFamilyGolden, ColdWarmAndThreadedRunsAreBitIdentical) {
   GraphCache::instance().clear();
   ExecutionPlan plan = sample_plan();
 
-  SweepOutcome cached_serial = run_batch(plan);
-  EXPECT_TRUE(cached_serial.cached);
+  SweepOutcome cold_serial = run_batch(plan);  // right after clear(): a miss
+  EXPECT_EQ(cold_serial.cache_hits, 0u);
+  EXPECT_EQ(cold_serial.cache_misses, 1u);
 
-  plan.use_cache = false;
-  SweepOutcome uncached_serial = run_batch(plan);
-  EXPECT_FALSE(uncached_serial.cached);
+  SweepOutcome warm_serial = run_batch(plan);
+  EXPECT_EQ(warm_serial.cache_misses, 0u);
 
-  plan.use_cache = true;
   plan.threads = 4;
-  SweepOutcome cached_threaded = run_batch(plan);
-  EXPECT_EQ(cached_threaded.threads, 4);
+  SweepOutcome warm_threaded = run_batch(plan);
+  EXPECT_EQ(warm_threaded.threads, 4);
 
-  for (SweepOutcome* o :
-       {&cached_serial, &uncached_serial, &cached_threaded}) {
+  for (SweepOutcome* o : {&cold_serial, &warm_serial, &warm_threaded}) {
     normalize(*o);
     o->threads = 0;  // resolved worker count differs by design
-    o->cached = false;
     o->cache_hits = 0;
     o->cache_misses = 0;
   }
-  const std::string reference = to_json(cached_serial);
-  EXPECT_EQ(reference, to_json(uncached_serial))
-      << "uncached file-family run diverged from the cached one";
-  EXPECT_EQ(reference, to_json(cached_threaded))
+  const std::string reference = to_json(cold_serial);
+  EXPECT_EQ(reference, to_json(warm_serial))
+      << "warm file-family run diverged from the cold one";
+  EXPECT_EQ(reference, to_json(warm_threaded))
       << "threaded file-family run diverged from the serial one";
 }
 

@@ -22,7 +22,7 @@ TEST(StrictView, GadgetConstraintsAreRadius5Checkable) {
   const auto inst = build_gadget(3, 4);
   const Graph& g = inst.graph;
   const auto report = run_gather(
-      g, ViewMode::kStrict, [&](LocalView& view, NodeId v) {
+      g, [&](LocalView& view, NodeId v) {
         view.extend(5);
         // Reads below go through the checked accessors; follow_label-style
         // navigation stays inside the ball because every walk in the
@@ -49,7 +49,7 @@ TEST(StrictView, SinklessEdgeConstraintIsRadius1) {
   const auto ids = sequential_ids(g);
   const auto sol = sinkless_orientation_det(g, ids, 32);
   const auto labeling = orientation_to_labeling(g, sol.tails);
-  run_gather(g, ViewMode::kStrict, [&](LocalView& view, NodeId v) {
+  run_gather(g, [&](LocalView& view, NodeId v) {
     view.extend(1);
     int out_halves = 0;
     for (int p = 0; p < view.degree(v); ++p) {

@@ -215,7 +215,7 @@ INSTANTIATE_TEST_SUITE_P(Threads, IdsValidOracle, ::testing::Values(1, 4),
 
 TEST(LocalView, StrictAllowsBallReads) {
   Graph g = build::cycle(8);
-  LocalView view(g, 0, ViewMode::kStrict);
+  LocalView view(g, 0);
   view.extend(2);
   EXPECT_TRUE(view.knows_node(1));
   EXPECT_TRUE(view.knows_node(2));
@@ -228,24 +228,17 @@ TEST(LocalView, StrictAllowsBallReads) {
 
 TEST(LocalView, StrictThrowsOutsideBall) {
   Graph g = build::cycle(8);
-  LocalView view(g, 0, ViewMode::kStrict);
+  LocalView view(g, 0);
   view.extend(1);
-  // Contract violations throw (fault-isolated sweeps); the abort behaviour
-  // is opt-in via PADLOCK_ABORT_ON_CONTRACT / set_contract_abort.
+  // Contract violations throw (fault-isolated sweeps); so does asking for
+  // the distance of a node outside the gathered ball.
   EXPECT_THROW((void)view.degree(4), ContractViolation);
-}
-
-TEST(LocalView, AuditTracksRadiusWithoutChecks) {
-  Graph g = build::cycle(8);
-  LocalView view(g, 0, ViewMode::kAudit);
-  view.extend(3);
-  EXPECT_EQ(view.radius(), 3);
-  EXPECT_EQ(view.degree(5), 2);  // unchecked read succeeds
+  EXPECT_THROW((void)view.dist(4), ContractViolation);
 }
 
 TEST(LocalView, ExtendIsMonotone) {
   Graph g = build::cycle(8);
-  LocalView view(g, 0, ViewMode::kStrict);
+  LocalView view(g, 0);
   view.extend(3);
   view.extend(1);
   EXPECT_EQ(view.radius(), 3);
@@ -253,10 +246,9 @@ TEST(LocalView, ExtendIsMonotone) {
 
 TEST(GatherEngine, ReportsMaxRadius) {
   Graph g = build::path(5);
-  const auto report = run_gather(g, ViewMode::kStrict,
-                                 [&](LocalView& view, NodeId v) {
-                                   view.extend(static_cast<int>(v % 3));
-                                 });
+  const auto report = run_gather(g, [&](LocalView& view, NodeId v) {
+    view.extend(static_cast<int>(v % 3));
+  });
   EXPECT_EQ(report.rounds, 2);
   EXPECT_EQ(report.node_rounds[0], 0);
   EXPECT_EQ(report.node_rounds[2], 2);

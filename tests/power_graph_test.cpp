@@ -85,7 +85,7 @@ TEST(DistColoring, MatchesGadgetInputRequirements) {
   const Graph g = build::torus(6, 8);
   const IdMap ids = shuffled_ids(g, 12);
   const auto dist = distance_k_coloring(g, ids, g.num_nodes(), 2);
-  EXPECT_TRUE(is_distance2_coloring(g, dist.colors));
+  EXPECT_TRUE(is_distance_coloring(g, dist.colors, 2));
 }
 
 // ---- (alpha, beta) ruling sets ----------------------------------------------------

@@ -148,6 +148,13 @@ TEST(ServeProtocol, RefusesSchemaViolations) {
                              R"( "algo": "luby", "shards": 1})",
                              limits),
                BadRequest);
+  // So is the removed graph-cache bypass: every menu goes through the cache.
+  EXPECT_THROW(parse_request(R"({"op": "sweep", "cache": false})", limits),
+               BadRequest);
+  EXPECT_THROW(parse_request(R"({"op": "run", "problem": "mis",)"
+                             R"( "algo": "luby", "cache": true})",
+                             limits),
+               BadRequest);
   EXPECT_THROW(parse_request(R"({"op": "ping", "nodes": 1})", limits),
                BadRequest);  // ping takes only op/id
 }

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -364,6 +366,109 @@ TEST_F(PgCorruption, NotAPgFileAtAll) {
   EXPECT_THROW((void)store::load_pg(p), ContractViolation);
 }
 
+// ---- well-checksummed files with inconsistent slabs ------------------------
+// Crafted stores whose payload checksum is recomputed after the patch, so
+// only the structural validation in open_pg / load_pg can refuse them.
+
+std::uint64_t get_u64(const std::string& b, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, b.data() + at, sizeof v);
+  return v;
+}
+
+void put_u64(std::string& b, std::size_t at, std::uint64_t v) {
+  std::memcpy(b.data() + at, &v, sizeof v);
+}
+
+void put_u32(std::string& b, std::size_t at, std::uint32_t v) {
+  std::memcpy(b.data() + at, &v, sizeof v);
+}
+
+// Header offsets and the CSR layout of pg.hpp.
+constexpr std::size_t kNodesAt = 16, kChecksumAt = 40, kEdgesSizeAt = 56,
+                      kCsrOffsetAt = 64, kCsrSizeAt = 72;
+
+// cycle(16) written to `name`, patched, and re-checksummed.
+std::string crafted_cycle_pg(const std::string& name,
+                             const std::function<void(std::string&)>& patch) {
+  const std::string p = temp_path(name);
+  store::write_pg(p, build::cycle(16));
+  std::string b = read_file(p);
+  patch(b);
+  put_u64(b, kChecksumAt,
+          store::fnv1a_words(b.data() + 80, b.size() - 80));
+  write_file(p, b);
+  return p;
+}
+
+// Byte offset of endpoints[e] (a u32 pair) in a cycle(16) store.
+std::size_t endpoint_at(const std::string& b, std::size_t e) {
+  const std::size_t n = 16, m = 16;
+  return get_u64(b, kCsrOffsetAt) + 8 * (n + 1) + 8 * 2 * m + 8 * e;
+}
+
+// A crafted file poisons exactly its own row of a sweep.
+void expect_poisons_only_its_row(const std::string& pg) {
+  ExecutionPlan plan;
+  plan.pairs = {{"mis", "luby"}};
+  plan.graphs = {{"file:" + pg, 0, 0, 0}, {"cycle", 24, 3, 7}};
+  plan.options.seed = 11;
+  plan.threads = 1;
+  const SweepOutcome outcome = run_batch(plan);
+  ASSERT_EQ(outcome.rows.size(), 2u);
+  EXPECT_EQ(outcome.rows[0].status, RowStatus::kError);
+  EXPECT_NE(outcome.rows[0].error.find("ContractViolation"),
+            std::string::npos)
+      << outcome.rows[0].error;
+  EXPECT_TRUE(outcome.rows[1].ok()) << outcome.rows[1].error;
+}
+
+TEST_F(PgCorruption, EndpointBeyondNodeRange) {
+  // Graph::adopt would index first_port with this endpoint, out of bounds.
+  const std::string p = crafted_cycle_pg("far_endpoint.pg", [](std::string& b) {
+    put_u32(b, endpoint_at(b, 0), 0x7fffffffu);
+  });
+  EXPECT_THROW((void)store::load_pg(p), ContractViolation);
+  expect_poisons_only_its_row(p);
+}
+
+TEST_F(PgCorruption, EndpointDisagreesWithThePortSlab) {
+  // In range, but node 3 has no port holding edge 0: the slabs contradict
+  // each other, which no header or offset check can see.
+  const std::string p = crafted_cycle_pg("wrong_endpoint.pg", [](std::string& b) {
+    put_u32(b, endpoint_at(b, 0) + 4, 3);
+  });
+  EXPECT_THROW((void)store::load_pg(p), ContractViolation);
+  expect_poisons_only_its_row(p);
+}
+
+TEST_F(PgCorruption, NodeCountThatWrapsTheCsrSize) {
+  // 8 * (n + 1) wraps mod 2^64 back to the true CSR size, so only a range
+  // check on the count itself refuses this header.
+  const std::string p = crafted_cycle_pg("wrapped_nodes.pg", [](std::string& b) {
+    put_u64(b, kNodesAt, get_u64(b, kNodesAt) + (std::uint64_t{1} << 61));
+  });
+  EXPECT_THROW((void)store::read_pg_info(p), ContractViolation);
+  EXPECT_THROW((void)store::load_pg(p), ContractViolation);
+  expect_poisons_only_its_row(p);
+}
+
+TEST_F(PgCorruption, EdgesSizeThatWrapsTheCsrOffset) {
+  // 80 + edges_size lands just below 2^64, so align8 wraps the CSR offset
+  // to 0; a node count chosen to make the CSR span the whole file would
+  // then pass every offset check with the slabs aliasing the header.
+  const std::string p = crafted_cycle_pg("wrapped_edges.pg", [](std::string& b) {
+    const std::uint64_t m = 16;
+    put_u64(b, kEdgesSizeAt, ~std::uint64_t{0} - 80 - 6);
+    put_u64(b, kCsrOffsetAt, 0);
+    put_u64(b, kNodesAt, (b.size() - 8 * 4 * m) / 8 - 1);
+    put_u64(b, kCsrSizeAt, b.size());
+  });
+  EXPECT_THROW((void)store::read_pg_info(p), ContractViolation);
+  EXPECT_THROW((void)store::load_pg(p), ContractViolation);
+  expect_poisons_only_its_row(p);
+}
+
 // ---- zero-copy lifetime ----------------------------------------------------
 
 TEST(PgStore, MappedGraphCopiesKeepTheMappingAlive) {
@@ -504,7 +609,6 @@ TEST(FileFamily, CorruptPgPoisonsOnlyItsRows) {
   plan.graphs = {{"file:" + pg, 0, 0, 0}, {"cycle", 24, 3, 7}};
   plan.options.seed = 11;
   plan.threads = 1;
-  plan.use_cache = false;  // fingerprint of a corrupt file must not pollute
   const SweepOutcome outcome = run_batch(plan);
   ASSERT_EQ(outcome.rows.size(), 2u);
   EXPECT_EQ(outcome.rows[0].status, RowStatus::kError);

@@ -1,5 +1,5 @@
-// Golden-snapshot test for the sweep JSON emitter plus the cached ≡
-// uncached bit-identity property of run_batch.
+// Golden-snapshot test for the sweep JSON emitter plus the cold ≡ warm ≡
+// threaded bit-identity property of run_batch's graph cache.
 //
 // The fixture tests/data/sweep_golden.json is the committed canonical
 // byte-for-byte output of SweepOutcome::to_json for a small, serial,
@@ -79,46 +79,62 @@ TEST(SweepJson, MatchesCommittedGoldenSnapshot) {
          "deliberate, regenerate with PADLOCK_REGEN_GOLDEN=1";
 }
 
-TEST(SweepCache, CachedRunBitIdenticalToUncached) {
+TEST(SweepCache, ColdRunBitIdenticalToWarmAndThreaded) {
   GraphCache::instance().clear();
   ExecutionPlan plan = golden_plan();
 
-  SweepOutcome cached = run_batch(plan);
-  plan.use_cache = false;
-  SweepOutcome uncached = run_batch(plan);
+  // Cold: every distinct spec builds (the duplicate row is the only hit).
+  SweepOutcome cold = run_batch(plan);
+  EXPECT_TRUE(cold.cached);
+  EXPECT_EQ(cold.cache_hits, 1u);
+  EXPECT_EQ(cold.cache_misses, 2u);
 
-  // The repeated menu row must be served by the cache ...
-  EXPECT_TRUE(cached.cached);
-  EXPECT_GE(cached.cache_hits, 1u);
-  EXPECT_FALSE(uncached.cached);
-  EXPECT_EQ(uncached.cache_hits, 0u);
-  EXPECT_EQ(uncached.cache_misses, 0u);
+  // Warm: the whole menu is served from the cache.
+  SweepOutcome warm = run_batch(plan);
+  EXPECT_EQ(warm.cache_misses, 0u);
+
+  plan.threads = 4;
+  SweepOutcome threaded = run_batch(plan);
+  EXPECT_EQ(threaded.threads, 4);
 
   // ... without perturbing a single result byte: after normalizing the
-  // wall clocks and the cache counters themselves, the two JSON renderings
-  // are identical.
-  normalize_walls(cached);
-  normalize_walls(uncached);
-  for (SweepOutcome* o : {&cached, &uncached}) {
-    o->cached = false;
+  // wall clocks, the worker count and the cache counters themselves, the
+  // three JSON renderings are identical.
+  for (SweepOutcome* o : {&cold, &warm, &threaded}) {
+    normalize_walls(*o);
+    o->threads = 0;
     o->cache_hits = 0;
     o->cache_misses = 0;
   }
-  EXPECT_EQ(to_json(cached), to_json(uncached));
+  EXPECT_EQ(to_json(cold), to_json(warm));
+  EXPECT_EQ(to_json(cold), to_json(threaded));
 }
 
-// Degenerate capacities stay safe: at capacity 0 the freshly built entry
-// is evicted immediately, and the caller still gets a valid instance.
-TEST(SweepCache, ZeroCapacityCacheStillServesBuilds) {
+// FIFO eviction at the fixed capacity: the 33rd distinct spec evicts the
+// first, and a shared_ptr handed out for the evicted entry stays valid.
+TEST(SweepCache, FifoEvictsOldestAtFixedCapacity) {
   GraphCache cache;  // private instance; leaves the process cache alone
-  cache.set_capacity(0);
+  const auto first = cache.get_or_build("cycle", 8, 3, 1);
+  for (std::size_t n = 9; n < 8 + GraphCache::kCapacity; ++n) {
+    (void)cache.get_or_build("cycle", n, 3, 1);
+  }
+  EXPECT_EQ(cache.size(), GraphCache::kCapacity);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+
+  (void)cache.get_or_build("cycle", 8 + GraphCache::kCapacity, 3, 1);
+  EXPECT_EQ(cache.size(), GraphCache::kCapacity);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->num_nodes(), 8u);  // the evicted instance is still alive
+
+  // The first spec was the one evicted: asking again rebuilds it, which
+  // evicts the next-oldest (n = 9) while n = 10 stays cached.
   bool hit = true;
-  const auto g = cache.get_or_build("cycle", 12, 3, 1, &hit);
-  ASSERT_NE(g, nullptr);
+  (void)cache.get_or_build("cycle", 8, 3, 1, &hit);
   EXPECT_FALSE(hit);
-  EXPECT_EQ(g->num_nodes(), 12u);
-  EXPECT_EQ(cache.size(), 0u);  // evicted on insert
-  EXPECT_GE(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  (void)cache.get_or_build("cycle", 10, 3, 1, &hit);
+  EXPECT_TRUE(hit);
 }
 
 // A second batch over the same menu is served entirely from the cache.

@@ -1,14 +1,13 @@
 // Property suite for the flat-ball LocalView layer:
 //
-//  * Strict ≡ Audit across every registered (problem, algorithm) pair on
-//    randomized instances of every build::family — the same gather-style
-//    re-verification rule runs in both accounting modes and must produce
-//    identical per-node accept bits and identical per-node radii;
+//  * every registered (problem, algorithm) pair re-verifies through strict
+//    views on randomized instances of every build::family — a gather-style
+//    rule that reads labels only through a LocalView accepts every node of
+//    a verified output (so no checker read leaves its radius), and rejects
+//    a planted violation;
 //  * the epoch-stamped flat ball (BallScratch) is bit-identical to a
 //    reference hash-map ball kept here (the implementation LocalView
 //    shipped with before the flat rewrite);
-//  * audit-mode `dist` runs the shared scratch scan (regression for the
-//    "audit never materializes a hash ball" contract drift);
 //  * run_gather performs zero per-node heap allocation after warmup,
 //    asserted through a global operator-new counting hook plus the
 //    engine's slab-growth test hook.
@@ -96,7 +95,7 @@ TEST(FlatBall, BitIdenticalToReferenceHashBall) {
     for (const NodeId center : {NodeId{0}, n / 2, n - 1}) {
       for (const int radius : {0, 1, 2, 3}) {
         const auto ref = reference_ball(g, center, radius);
-        LocalView view(g, center, ViewMode::kStrict);
+        LocalView view(g, center);
         view.extend(radius);
         for (NodeId v = 0; v < n; ++v) {
           const auto it = ref.find(v);
@@ -113,7 +112,7 @@ TEST(FlatBall, BitIdenticalToReferenceHashBall) {
 
 TEST(FlatBall, IncrementalExtensionMatchesReference) {
   const Graph g = build::family("regular", 64, 3, 11);
-  LocalView view(g, 3, ViewMode::kStrict);
+  LocalView view(g, 3);
   // Grow the same view in steps; each step must agree with a fresh
   // reference ball of that radius (exercises the incremental BFS path of
   // the scratch, not just one-shot materialization).
@@ -128,36 +127,11 @@ TEST(FlatBall, IncrementalExtensionMatchesReference) {
   }
 }
 
-// ---- audit-mode dist regression --------------------------------------------
-
-TEST(AuditDist, SharesTheScratchScanWithStrict) {
-  for (const Graph& g : property_menu(13)) {
-    const NodeId center = static_cast<NodeId>(g.num_nodes() / 3);
-    LocalView strict(g, center, ViewMode::kStrict);
-    LocalView audit(g, center, ViewMode::kAudit);
-    strict.extend(2);
-    audit.extend(2);
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (strict.knows_node(v)) {
-        ASSERT_EQ(audit.dist(v), strict.dist(v));
-      } else {
-        // dist is a ball-membership query in both modes; audit-mode reads
-        // stay unchecked, but asking for the distance of a node outside
-        // the gathered ball is a contract violation either way.
-        EXPECT_THROW((void)audit.dist(v), ContractViolation);
-        // ... while the unchecked structural read still passes in audit.
-        EXPECT_EQ(audit.degree(v), g.degree(v));
-      }
-    }
-  }
-}
-
-// ---- Strict ≡ Audit over the whole registry --------------------------------
+// ---- strict re-verification over the whole registry -----------------------
 // For every registered pair: solve through the Runner, then re-verify the
 // output with a gather rule that reads labels exclusively through a
-// LocalView. The rule runs once in Strict (throws on any non-local read,
-// certifying the constraint radius) and once in Audit; both executions
-// must produce identical accept bits and identical per-node radii.
+// LocalView. Views are strict (any non-local read throws), so a clean run
+// certifies the constraint radius.
 
 struct GatherVerdict {
   NodeMap<char> accept;
@@ -168,11 +142,11 @@ struct GatherVerdict {
 
 // ne-LCL problems: C_N at v plus C_E at v's incident edges, radius 1.
 GatherVerdict ne_lcl_gather(const ProblemSpec& problem, const Graph& g,
-                            const NeLabeling& input, const NeLabeling& output,
-                            ViewMode mode) {
+                            const NeLabeling& input,
+                            const NeLabeling& output) {
   const auto lcl = problem.make_lcl(g);
   GatherVerdict out{NodeMap<char>(g, 1), {}};
-  out.report = run_gather(g, mode, [&](LocalView& view, NodeId v) {
+  out.report = run_gather(g, [&](LocalView& view, NodeId v) {
     view.extend(1);
     const int deg = view.degree(v);
     std::vector<Label> edge_in(deg), edge_out(deg), half_in(deg),
@@ -214,10 +188,9 @@ GatherVerdict ne_lcl_gather(const ProblemSpec& problem, const Graph& g,
 }
 
 // dist2-coloring: color validity plus distinctness in the radius-2 ball.
-GatherVerdict dist2_gather(const Graph& g, const NeLabeling& output,
-                           ViewMode mode) {
+GatherVerdict dist2_gather(const Graph& g, const NeLabeling& output) {
   GatherVerdict out{NodeMap<char>(g, 1), {}};
-  out.report = run_gather(g, mode, [&](LocalView& view, NodeId v) {
+  out.report = run_gather(g, [&](LocalView& view, NodeId v) {
     view.extend(2);
     const Label mine = view.node_data(output.node, v);
     bool ok = mine >= 1;
@@ -236,10 +209,9 @@ GatherVerdict dist2_gather(const Graph& g, const NeLabeling& output,
 
 // ruling-set: label validity plus independence (domination is a global
 // property, checked by the problem's own checker, not radius-bounded).
-GatherVerdict ruling_set_gather(const Graph& g, const NeLabeling& output,
-                                ViewMode mode) {
+GatherVerdict ruling_set_gather(const Graph& g, const NeLabeling& output) {
   GatherVerdict out{NodeMap<char>(g, 1), {}};
-  out.report = run_gather(g, mode, [&](LocalView& view, NodeId v) {
+  out.report = run_gather(g, [&](LocalView& view, NodeId v) {
     view.extend(1);
     const Label mine = view.node_data(output.node, v);
     bool ok = mine == 1 || mine == 2;
@@ -255,17 +227,17 @@ GatherVerdict ruling_set_gather(const Graph& g, const NeLabeling& output,
 }
 
 GatherVerdict gather_verify(const ProblemSpec& problem, const Graph& g,
-                            const NeLabeling& input, const NeLabeling& output,
-                            ViewMode mode) {
-  if (problem.make_lcl) return ne_lcl_gather(problem, g, input, output, mode);
-  if (problem.name == "dist2-coloring") return dist2_gather(g, output, mode);
-  if (problem.name == "ruling-set") return ruling_set_gather(g, output, mode);
+                            const NeLabeling& input,
+                            const NeLabeling& output) {
+  if (problem.make_lcl) return ne_lcl_gather(problem, g, input, output);
+  if (problem.name == "dist2-coloring") return dist2_gather(g, output);
+  if (problem.name == "ruling-set") return ruling_set_gather(g, output);
   ADD_FAILURE() << "no gather verifier for problem " << problem.name
                 << "; extend gather_verify";
   return GatherVerdict{NodeMap<char>(g, 0), {}};
 }
 
-TEST(StrictEquivAudit, AllRegisteredPairsOnAllFamilies) {
+TEST(StrictGatherVerify, AllRegisteredPairsOnAllFamilies) {
   const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
   ASSERT_GE(registry.pairs().size(), 14u);
   std::size_t exercised = 0;
@@ -280,18 +252,9 @@ TEST(StrictEquivAudit, AllRegisteredPairsOnAllFamilies) {
 
       const NeLabeling input =
           problem->make_input ? problem->make_input(g) : NeLabeling(g);
-      const GatherVerdict strict = gather_verify(*problem, g, input,
-                                                 solved.output,
-                                                 ViewMode::kStrict);
-      const GatherVerdict audit = gather_verify(*problem, g, input,
-                                                solved.output,
-                                                ViewMode::kAudit);
-      // The equivalence itself: same accept bits, same per-node radii.
-      EXPECT_EQ(strict.accept, audit.accept)
-          << problem->name << "/" << algo->name;
-      EXPECT_EQ(strict.report, audit.report)
-          << problem->name << "/" << algo->name;
-      // And the verified solution must re-verify through the views.
+      const GatherVerdict strict =
+          gather_verify(*problem, g, input, solved.output);
+      // The verified solution must re-verify through the views.
       for (NodeId v = 0; v < g.num_nodes(); ++v) {
         ASSERT_EQ(strict.accept[v], 1)
             << problem->name << "/" << algo->name << " rejected at node " << v;
@@ -303,8 +266,8 @@ TEST(StrictEquivAudit, AllRegisteredPairsOnAllFamilies) {
   EXPECT_GE(exercised, registry.pairs().size());
 }
 
-// A planted violation must be rejected identically in both modes.
-TEST(StrictEquivAudit, PlantedViolationRejectedIdentically) {
+// A planted violation must be rejected through the views.
+TEST(StrictGatherVerify, PlantedViolationRejected) {
   const Graph g = build::family("regular", 32, 3, 3);
   const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
   const ProblemSpec& problem = registry.problem("mis");
@@ -314,12 +277,8 @@ TEST(StrictEquivAudit, PlantedViolationRejectedIdentically) {
   ASSERT_TRUE(solved.ok());
   solved.output.node[0] = solved.output.node[0] == 2 ? 1 : 2;  // corrupt
   const NeLabeling input(g);
-  const GatherVerdict strict =
-      gather_verify(problem, g, input, solved.output, ViewMode::kStrict);
-  const GatherVerdict audit =
-      gather_verify(problem, g, input, solved.output, ViewMode::kAudit);
-  EXPECT_EQ(strict.accept, audit.accept);
-  EXPECT_EQ(strict.report, audit.report);
+  const GatherVerdict strict = gather_verify(problem, g, input, solved.output);
+  EXPECT_EQ(strict.report.rounds, 1);
   bool rejected_somewhere = false;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     rejected_somewhere = rejected_somewhere || strict.accept[v] == 0;
@@ -333,10 +292,10 @@ TEST(StrictEquivAudit, PlantedViolationRejectedIdentically) {
 TEST(BorrowedScratch, StaleViewThrowsInsteadOfWrongDistances) {
   const Graph g = build::cycle(16);
   BallScratch scratch;
-  LocalView first(g, 0, ViewMode::kStrict, scratch);
+  LocalView first(g, 0, scratch);
   first.extend(2);
   ASSERT_EQ(first.dist(2), 2);  // materialized
-  LocalView second(g, 8, ViewMode::kStrict, scratch);
+  LocalView second(g, 8, scratch);
   second.extend(1);
   ASSERT_EQ(second.dist(7), 1);  // reclaims the scratch
   EXPECT_THROW((void)first.dist(2), ContractViolation);
@@ -362,16 +321,16 @@ TEST(GatherAllocation, ZeroPerNodeHeapAllocationAfterWarmup) {
     if (acc == ~std::uint64_t{0}) std::abort();  // keep acc observable
   };
   // Warmup: grows the thread's scratch slabs to the larger graph.
-  run_gather(big, ViewMode::kStrict, rule);
-  run_gather(small, ViewMode::kStrict, rule);
+  run_gather(big, rule);
+  run_gather(small, rule);
   const std::size_t growths_before = gather_scratch_stats().slab_growths;
 
   const std::size_t a0 = g_heap_allocs.load();
-  run_gather(small, ViewMode::kStrict, rule);
+  run_gather(small, rule);
   const std::size_t small_allocs = g_heap_allocs.load() - a0;
 
   const std::size_t b0 = g_heap_allocs.load();
-  run_gather(big, ViewMode::kStrict, rule);
+  run_gather(big, rule);
   const std::size_t big_allocs = g_heap_allocs.load() - b0;
 
   // 8x the nodes, same allocation count: nothing allocates per node. The
