@@ -6,7 +6,8 @@
 // the thread pool (pass --threads N to pin the worker count; default: all
 // cores). Per pair the table shows the cubic instance unless the pair's
 // precondition restricts it to cycles. The O(id_space)-rounds color-reduce
-// baseline gets its own small-capped plan instead of a silent skip.
+// baseline runs the same sizes: on the engine's wake-up calendar its wall
+// time is O(n + m + rounds), so it needs no size cap of its own.
 //
 // Shapes to observe: the Θ(log* n) rows are essentially flat, the
 // randomized O(log n) rows grow gently, the deterministic sinkless row
@@ -32,14 +33,11 @@ int main(int argc, char** argv) {
   std::printf("E1 / Figure 1 — LCL complexity landscape (measured rounds)\n");
   const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
 
-  const int lg_min = 10, lg_max = 14;  // 2^15+: simple-regular repair turns quadratic
-  const int lg_cap = 12;               // color-reduce: O(id_space) rounds
+  const int lg_min = 10, lg_max = 14;
 
-  ExecutionPlan plan, baseline;  // baseline = the capped color-reduce rows
-  for (const auto& [problem, algo] : registry.pairs()) {
-    (algo->name == "color-reduce" ? baseline : plan)
-        .pairs.emplace_back(problem->name, algo->name);
-  }
+  ExecutionPlan plan;
+  for (const auto& [problem, algo] : registry.pairs())
+    plan.pairs.emplace_back(problem->name, algo->name);
   // Menu order per size: cycle first, cubic second (the render below
   // prefers cubic and falls back to cycle on precondition skips).
   for (int lg = lg_min; lg <= lg_max; ++lg) {
@@ -47,63 +45,42 @@ int main(int argc, char** argv) {
     plan.graphs.push_back({"cycle", n, 3, static_cast<std::uint64_t>(23 + lg)});
     plan.graphs.push_back(
         {"regular", n, 3, static_cast<std::uint64_t>(23 + lg)});
-    if (lg <= lg_cap) {
-      baseline.graphs.push_back(
-          {"cycle", n, 3, static_cast<std::uint64_t>(23 + lg)});
-      baseline.graphs.push_back(
-          {"regular", n, 3, static_cast<std::uint64_t>(23 + lg)});
-    }
   }
   plan.options.seed = 41;
-  baseline.options.seed = 41;
 
   const SweepOutcome swept = run_batch(plan);
-  const SweepOutcome capped = run_batch(baseline);
   // Poisoned cells are reported and rendered as "!" instead of killing the
   // bench; the exit code still flags them.
-  const std::size_t failures = report_failed_rows(swept, "fig1") +
-                               report_failed_rows(capped, "fig1");
+  const std::size_t failures = report_failed_rows(swept, "fig1");
 
   std::vector<std::string> headers{"problem/algorithm", "mode"};
   for (int lg = lg_min; lg <= lg_max; ++lg)
     headers.push_back("n=2^" + std::to_string(lg));
   Table t(std::move(headers));
 
-  const auto render = [&](const ExecutionPlan& p, const SweepOutcome& o) {
-    const std::size_t menu = p.graphs.size();
-    for (std::size_t pi = 0; pi < p.pairs.size(); ++pi) {
-      const auto& [prob, alg] = p.pairs[pi];
-      std::vector<std::string> row{
-          prob + "/" + alg,
-          std::string(determinism_name(registry.algo(prob, alg).determinism))};
-      for (int lg = lg_min; lg <= lg_max; ++lg) {
-        const auto li = static_cast<std::size_t>(2 * (lg - lg_min));
-        if (li + 1 >= menu) {
-          row.push_back("-");  // beyond this plan's size cap
-          continue;
-        }
-        const SweepRow& cubic = o.rows[pi * menu + li + 1];
-        const SweepRow& cyc = o.rows[pi * menu + li];
-        const SweepRow& cell = cubic.skipped() ? cyc : cubic;
-        row.push_back(cell.ok() ? std::to_string(cell.rounds)
-                                : (cell.skipped() ? "-" : "!"));
-      }
-      t.add_row(std::move(row));
+  const std::size_t menu = plan.graphs.size();
+  for (std::size_t pi = 0; pi < plan.pairs.size(); ++pi) {
+    const auto& [prob, alg] = plan.pairs[pi];
+    std::vector<std::string> row{
+        prob + "/" + alg,
+        std::string(determinism_name(registry.algo(prob, alg).determinism))};
+    for (int lg = lg_min; lg <= lg_max; ++lg) {
+      const auto li = static_cast<std::size_t>(2 * (lg - lg_min));
+      const SweepRow& cubic = swept.rows[pi * menu + li + 1];
+      const SweepRow& cyc = swept.rows[pi * menu + li];
+      const SweepRow& cell = cubic.skipped() ? cyc : cubic;
+      row.push_back(cell.ok() ? std::to_string(cell.rounds)
+                              : (cell.skipped() ? "-" : "!"));
     }
-  };
-  render(plan, swept);
-  render(baseline, capped);
+    t.add_row(std::move(row));
+  }
   t.print();
 
-  // The two plans share their cycle/regular menus, so the capped batch is
-  // served from the sweep-wide graph cache.
   std::printf("(batch: %.1f ms on %d threads; graph cache: %llu hits, "
               "%llu misses)\n",
-              (swept.wall_ns + capped.wall_ns) / 1e6, swept.threads,
-              static_cast<unsigned long long>(swept.cache_hits +
-                                              capped.cache_hits),
-              static_cast<unsigned long long>(swept.cache_misses +
-                                              capped.cache_misses));
+              swept.wall_ns / 1e6, swept.threads,
+              static_cast<unsigned long long>(swept.cache_hits),
+              static_cast<unsigned long long>(swept.cache_misses));
   std::printf(
       "\nExpected shapes: log*-band rows flat; randomized O(log n) rows\n"
       "gentle; deterministic sinkless climbs with log2(n) while randomized\n"

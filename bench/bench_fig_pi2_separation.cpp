@@ -75,10 +75,8 @@ int main(int argc, char** argv) {
                fmt(lg / std::log2(lg), 2)});
   }
   t.print();
-  // Scenario batches build bespoke instances (no named-family menu), so
-  // the sweep-wide graph cache reports off here.
-  std::printf("(batch: %.1f ms on %d threads; %s)\n", out.wall_ns / 1e6,
-              out.threads, cache_note(out).c_str());
+  std::printf("(batch: %.1f ms on %d threads)\n", out.wall_ns / 1e6,
+              out.threads);
   std::printf(
       "\nExpected shape: both columns grow with N (the shared Θ(log N)\n"
       "stretch factor), deterministic faster; the measured D/R ratio climbs\n"

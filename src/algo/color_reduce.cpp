@@ -1,11 +1,11 @@
 #include "algo/color_reduce.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "core/registry.hpp"
 #include "lcl/problems/coloring.hpp"
-#include "local/engine_bitset.hpp"
 #include "local/message_engine.hpp"
 #include "support/check.hpp"
 
@@ -16,35 +16,21 @@ namespace padlock {
 
 namespace {
 
-/// Engine-v2 state machine of the schedule-by-class reduction: a node acts
-/// in the round equal to its input color, picking the smallest palette
-/// color no finalized neighbor holds, and broadcasts that choice exactly
-/// once (its drain round). Receivers *remember* arrived colors in a flat
-/// per-node mask, so no re-broadcast is ever needed — silence from a
-/// long-halted neighbor carries the same information as its last message.
+/// Schedule-by-class reduction on the engine's wake-up calendar: a node
+/// sleeps until the round equal to its input color, wakes, reads its inbox
+/// once, picks the smallest color no neighbor holds and broadcasts it
+/// (final-only, so the engine keeps that message present for neighbors
+/// that wake later). Each node is stepped exactly once; with the calendar
+/// skipping idle rounds and walking only busy frontier words, the wall
+/// time is O(n + m + rounds) while the round count stays max(colors).
 struct ColorReduceAlg {
-  using Message = std::int32_t;  // the sender's freshly-final color
+  using Message = std::int32_t;  // the sender's final color
   static constexpr bool kUniformSend = true;  // broadcast once final
 
   const NodeMap<int>& input;
-  int palette;
   NodeMap<int>& out;  // 0 = undecided (doubles as done-bit)
-  // Node-major [n][palette + 1] seen-color mask, one bit per palette slot
-  // (the v2-era byte mask, 8x denser). Adjacent nodes' mask regions share
-  // words at the boundaries, so writes go through atomic fetch_or and the
-  // candidate scan reads through atomic loads — a neighbor's concurrent
-  // writes only ever touch *its* bits, so v's own bits are stable.
-  WordBitset used;
 
-  ColorReduceAlg(const Graph& g, const NodeMap<int>& input_in,
-                 int palette_in, NodeMap<int>& out_in)
-      : input(input_in), palette(palette_in), out(out_in),
-        used(g.num_nodes() * (static_cast<std::size_t>(palette_in) + 1)) {}
-
-  [[nodiscard]] std::size_t mask_base(NodeId v) const {
-    return static_cast<std::size_t>(v) *
-           (static_cast<std::size_t>(palette) + 1);
-  }
+  [[nodiscard]] int wake_round(NodeId v) const { return input[v]; }
 
   std::optional<Message> send(NodeId v, int /*port*/, int /*round*/) {
     if (out[v] == 0) return std::nullopt;
@@ -53,21 +39,25 @@ struct ColorReduceAlg {
 
   template <class Inbox>
   void step(NodeId v, const Inbox& inbox, int round) {
-    const std::size_t base = mask_base(v);
+    PADLOCK_ASSERT(input[v] == round);
+    // At most deg(v) colors are taken, so the answer is at most deg(v) + 1:
+    // bit c - 1 of `taken` marks color c for c in [1, deg(v) + 1].
+    const auto d = static_cast<std::size_t>(inbox.size());
+    thread_local std::vector<std::uint64_t> taken;
+    taken.assign(d / 64 + 1, 0);
     for (const auto& m : inbox) {
       if (!m) continue;
-      const int nc = static_cast<int>(*m);
-      if (nc >= 1 && nc <= palette)
-        used.set_atomic(base + static_cast<std::size_t>(nc));
+      const auto c = static_cast<std::size_t>(*m);
+      if (c <= d + 1)
+        taken[(c - 1) / 64] |= std::uint64_t{1} << ((c - 1) % 64);
     }
-    if (input[v] != round) return;
-    for (int cand = 1; cand <= palette; ++cand) {
-      if (!used.test_atomic(base + static_cast<std::size_t>(cand))) {
-        out[v] = cand;
-        break;
+    for (std::size_t w = 0; w < taken.size(); ++w) {
+      if (~taken[w] != 0) {
+        out[v] = static_cast<int>(w * 64) + std::countr_one(taken[w]) + 1;
+        return;
       }
     }
-    PADLOCK_ASSERT(out[v] >= 1);
+    PADLOCK_ASSERT(false);
   }
 
   bool done(NodeId v) const { return out[v] != 0; }
@@ -83,9 +73,8 @@ ColorReduceResult reduce_to_degree_plus_one(const Graph& g,
   PADLOCK_REQUIRE(g.loop_free());
   for (NodeId v = 0; v < g.num_nodes(); ++v)
     PADLOCK_REQUIRE(colors[v] >= 1 && colors[v] <= num_colors);
-  const int palette = g.max_degree() + 1;
   ColorReduceResult result{NodeMap<int>(g, 0), 0};
-  ColorReduceAlg alg(g, colors, palette, result.colors);
+  ColorReduceAlg alg{colors, result.colors};
   // The engine stops once the largest *present* input color has acted, so
   // the round count is max(colors) rather than the schedule-length
   // num_colors the retired serial loop always paid (unused classes at the

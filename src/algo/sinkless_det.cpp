@@ -309,7 +309,17 @@ RuleTables build_tables(const Graph& g, std::size_t n_known) {
   t.budget = sinkless_det_cycle_budget(n_known);
   const auto n = g.num_nodes();
   t.scl.assign(n, -1);
+  // A node whose edges are all bridges (no self-loop) lies on no cycle, so
+  // its search could only come back empty — on a tree, after visiting the
+  // whole budget-radius ball.
+  const EdgeMap<bool> bridge = find_bridges(g);
   for (NodeId v = 0; v < n; ++v) {
+    bool on_cycle = false;
+    for (int p = 0; p < g.degree(v) && !on_cycle; ++p) {
+      const EdgeId e = g.incidence(v, p).edge;
+      on_cycle = g.is_self_loop(e) || !bridge[e];
+    }
+    if (!on_cycle) continue;
     const auto c = short_cycle_through(g, v, t.budget);
     if (c) t.scl[v] = *c;
   }

@@ -142,10 +142,8 @@ std::optional<int> shortest_cycle_through(const Graph& g, NodeId v) {
   return best;
 }
 
-namespace {
-
-// Bridge detection on a multigraph via iterative DFS with low-links; parent
-// edges are skipped by edge id so parallel edges are correctly non-bridges.
+// Iterative DFS with low-links; parent edges are skipped by edge id so
+// parallel edges are correctly non-bridges.
 EdgeMap<bool> find_bridges(const Graph& g) {
   EdgeMap<bool> bridge(g, false);
   const auto n = g.num_nodes();
@@ -158,9 +156,9 @@ EdgeMap<bool> find_bridges(const Graph& g) {
     int next_port;
   };
 
+  std::stack<Frame> st;  // empty again after every root
   for (NodeId root = 0; root < n; ++root) {
     if (entry[root] != -1) continue;
-    std::stack<Frame> st;
     entry[root] = low[root] = timer++;
     st.push({root, kNoEdge, 0});
     while (!st.empty()) {
@@ -190,8 +188,6 @@ EdgeMap<bool> find_bridges(const Graph& g) {
   }
   return bridge;
 }
-
-}  // namespace
 
 NodeMap<int> distance_to_cycle_or_irregular(const Graph& g,
                                             int regular_degree) {

@@ -40,6 +40,10 @@ std::optional<int> girth(const Graph& g);
 /// girth of the ball around v; nullopt if v's component is acyclic.
 std::optional<int> shortest_cycle_through(const Graph& g, NodeId v);
 
+/// Bridges of a multigraph: true for every edge on no cycle. Self-loops and
+/// parallel edges are never bridges. O(n + m).
+EdgeMap<bool> find_bridges(const Graph& g);
+
 /// Distance from every node to the nearest node that lies on a cycle or has
 /// degree != `regular_degree` (the "escape targets" of the deterministic
 /// sinkless-orientation algorithm). kUnreachable if none exists.

@@ -173,13 +173,18 @@ Graph read_graph(std::istream& is) {
     const std::string line = next_line(is);
     Cursor c(line);
     if (!c.keyword("nodes") || !c.num(n)) fail("bad nodes line");
+    if (n > kMaxGraphNodes)
+      fail("node count " + std::to_string(n) + " above the cap of " +
+           std::to_string(kMaxGraphNodes));
   }
   {
     const std::string line = next_line(is);
     Cursor c(line);
     if (!c.keyword("edges") || !c.num(m)) fail("bad edges line");
   }
-  GraphBuilder b(n);
+  // No reservation from either header count: edges grow as their lines
+  // actually arrive.
+  GraphBuilder b;
   b.add_nodes(n);
   for (std::size_t i = 0; i < m; ++i) {
     const std::string line = next_line(is);

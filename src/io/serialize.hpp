@@ -27,6 +27,7 @@
 //   end
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 
 #include "core/padded_graph.hpp"
@@ -34,8 +35,15 @@
 
 namespace padlock::io {
 
+/// Largest `nodes` header read_graph accepts (2^26, the CLI's cap on
+/// --nodes and --base-nodes). The header is untrusted: a node count costs memory
+/// even with no edge lines behind it, so a larger one is refused before
+/// anything is allocated.
+inline constexpr std::size_t kMaxGraphNodes = std::size_t{1} << 26;
+
 void write_graph(std::ostream& os, const Graph& g);
-/// Throws std::runtime_error on malformed input.
+/// Throws std::runtime_error on malformed input, including a node count
+/// above kMaxGraphNodes.
 Graph read_graph(std::istream& is);
 
 void write_labeling(std::ostream& os, const NeLabeling& l);

@@ -199,19 +199,33 @@ inline void for_each_set_bit(const WordBitset& bits, const Fn& fn) {
 /// sparse) retires the buffer before round r+2 reuses it. The planted
 /// stale-bit tests in tests/engine_bitset_test.cpp pin both halves of that
 /// argument.
+///
+/// A *sticky* map has one buffer that every round shares and nobody
+/// clears: the engine uses it for final-only senders (a node sends only
+/// once its state is final, and always the same message), whose bits may
+/// outlive the round that set them.
 class PresenceBuffers {
  public:
   PresenceBuffers() = default;
-  explicit PresenceBuffers(std::size_t slots)
-      : bufs_{WordBitset(slots), WordBitset(slots)} {}
+  explicit PresenceBuffers(std::size_t slots, bool sticky = false)
+      : bufs_{WordBitset(slots), WordBitset(sticky ? 0 : slots)},
+        parity_mask_(sticky ? 0 : 1) {}
 
-  [[nodiscard]] WordBitset& buffer(int round) { return bufs_[round & 1]; }
+  [[nodiscard]] WordBitset& buffer(int round) {
+    return bufs_[round & parity_mask_];
+  }
   [[nodiscard]] const WordBitset& buffer(int round) const {
-    return bufs_[round & 1];
+    return bufs_[round & parity_mask_];
+  }
+
+  [[nodiscard]] std::size_t bytes() const {
+    return (bufs_[0].num_words() + bufs_[1].num_words()) *
+           sizeof(std::uint64_t);
   }
 
  private:
   WordBitset bufs_[2];
+  int parity_mask_ = 1;
 };
 
 }  // namespace padlock

@@ -15,9 +15,12 @@ struct MessageEngineStats {
   std::size_t peak_active = 0;   // |frontier| of the busiest round
 
   // Resident engine footprint, the layout-win gauge of engine v3: the
-  // message slab + presence map (bytes_slab) and the frontier/drain
-  // bookkeeping (bytes_state). Both are fixed at run start — per-round
-  // cost tracks these bytes, so sweeps surface them in their JSON rows.
+  // message slab + presence map (bytes_slab; one buffer when presence is
+  // sticky, two otherwise) and the frontier/drain bitsets plus the wake-up
+  // calendar (bytes_state). Both are fixed at run start — per-round cost
+  // tracks these bytes, so sweeps surface them in their JSON rows. The
+  // busy-word list and the calendar's merge buffer (4 B per 64 nodes each,
+  // indexes over the frontier words) are not counted.
   std::int64_t bytes_slab = 0;
   std::int64_t bytes_state = 0;
 

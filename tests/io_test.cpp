@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/padded_graph.hpp"
 #include "gadget/gadget.hpp"
@@ -154,6 +155,42 @@ TEST(Serialize, RejectsMalformedInput) {
     const Graph g = build::path(3);
     std::stringstream ss("padlock-labeling v1\nnodes 9 edges 2\nend\n");
     EXPECT_THROW(io::read_labeling(ss, g), std::runtime_error);  // shape
+  }
+}
+
+TEST(Serialize, RefusesOversizedHeaderCounts) {
+  // A dumped instance whose nodes line was edited upward is refused before
+  // anything is allocated, in a bare graph and inside a padded instance.
+  {
+    std::stringstream ss(
+        "padlock-graph v1\nnodes 2000000000\nedges 1\ne 0 1\n");
+    EXPECT_THROW(io::read_graph(ss), std::runtime_error);
+  }
+  {
+    std::stringstream ss("padlock-graph v1\nnodes " +
+                         std::to_string(io::kMaxGraphNodes + 1) +
+                         "\nedges 0\n");
+    EXPECT_THROW(io::read_graph(ss), std::runtime_error);
+  }
+  {
+    std::stringstream ss(
+        "padlock-padded v1\npadlock-graph v1\nnodes 2000000000\nedges 0\n"
+        "delta 3\nend\n");
+    EXPECT_THROW(io::read_padded_instance(ss), std::runtime_error);
+  }
+  // An edges count far beyond the lines that follow reserves nothing: it
+  // is a truncated file, not an allocation failure.
+  {
+    std::stringstream ss(
+        "padlock-graph v1\nnodes 2\nedges 4000000000000\ne 0 1\n");
+    EXPECT_THROW(io::read_graph(ss), std::runtime_error);
+  }
+  // The cap itself is a count, not a ban: a small header still parses.
+  {
+    std::stringstream ss("padlock-graph v1\nnodes 3\nedges 1\ne 0 2\n");
+    const Graph g = io::read_graph(ss);
+    EXPECT_EQ(g.num_nodes(), 3u);
+    EXPECT_EQ(g.num_edges(), 1u);
   }
 }
 

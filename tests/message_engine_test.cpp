@@ -21,7 +21,12 @@
 //    operator-new counting hook as tests/view_property_test.cpp;
 //  * a round-budget violation throws ContractViolation and leaves the
 //    engine (and the pool, when the phases ran pooled) fit for the next
-//    run.
+//    run;
+//  * the wake-up calendar: both calendar layouts pop rounds in order, idle
+//    rounds are skipped but counted, every node steps exactly once, a late
+//    sleeper reads a long-drained neighbor's final message, a wake round
+//    past the budget throws, pooled ≡ serial, and no per-round
+//    allocation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -43,6 +48,7 @@
 #include "lcl/problems/matching.hpp"
 #include "local/fingerprint.hpp"
 #include "local/message_engine.hpp"
+#include "local/wake_calendar.hpp"
 #include "support/check.hpp"
 #include "support/thread_pool.hpp"
 
@@ -425,6 +431,188 @@ TEST_F(EngineTest, RoundBudgetViolationThrowsAndEngineIsReusable) {
     EXPECT_GT(res.rounds, 0);
     EXPECT_EQ(stats.pooled_phases > 0, threads > 1);
   }
+}
+
+// ---- wake-up calendar ------------------------------------------------------
+
+TEST(WakeCalendarTest, BothLayoutsPopRoundsInAscendingOrder) {
+  // 0 = not sleeping. Rounds 3 and 9 share sleepers; round 5 has one.
+  std::vector<std::uint32_t> wake = {0, 9, 3, 0, 3, 5, 9, 3};
+  const auto drain = [](WakeCalendar cal) {
+    std::vector<std::pair<std::int64_t, std::vector<NodeId>>> out;
+    while (!cal.empty()) {
+      out.push_back({cal.next_round(), {}});
+      cal.pop([&](NodeId v) { out.back().second.push_back(v); });
+    }
+    EXPECT_EQ(cal.next_round(), WakeCalendar::kNever);
+    return out;
+  };
+  const std::vector<std::pair<std::int64_t, std::vector<NodeId>>> expected =
+      {{3, {2, 4, 7}}, {5, {5}}, {9, {1, 6}}};
+  // Largest round 9 <= kDenseFactor * 8: the counting sort.
+  const WakeCalendar dense(wake);
+  EXPECT_EQ(dense.bytes(), (6 + 11) * sizeof(std::uint32_t));  // ids + R+2
+  EXPECT_EQ(drain(dense), expected);
+
+  // A round far past kDenseFactor * n falls back to sorted keys.
+  wake.push_back(1000000);
+  const WakeCalendar sparse(wake);
+  EXPECT_EQ(sparse.bytes(), 7 * sizeof(std::uint64_t));
+  auto sparse_expected = expected;
+  sparse_expected.push_back({1000000, {8}});
+  EXPECT_EQ(drain(sparse), sparse_expected);
+
+  EXPECT_TRUE(WakeCalendar(std::vector<std::uint32_t>(4, 0)).empty());
+}
+
+// A toy final-only rule on the calendar: v sleeps until wake[v], then folds
+// its present neighbors' final values into its own, halts, and broadcasts
+// that final value.
+struct WakeFold {
+  using Message = std::uint64_t;
+  static constexpr bool kUniformSend = true;
+
+  std::vector<int> wake;
+  std::vector<std::uint64_t> value;  // 0 = undecided
+  std::vector<int> stepped_in;       // round of v's step, -1 = none yet
+  std::vector<int> steps;            // step() calls per node
+  std::vector<int> heard;            // present inbox slots at v's step
+
+  explicit WakeFold(std::vector<int> wake_in)
+      : wake(std::move(wake_in)),
+        value(wake.size(), 0),
+        stepped_in(wake.size(), -1),
+        steps(wake.size(), 0),
+        heard(wake.size(), 0) {}
+
+  int wake_round(NodeId v) const { return wake[v]; }
+  std::optional<Message> send(NodeId v, int, int) {
+    if (value[v] == 0) return std::nullopt;
+    return value[v];
+  }
+  template <class Inbox>
+  void step(NodeId v, const Inbox& inbox, int round) {
+    std::uint64_t h = 0x9e3779b97f4a7c15ull ^ v;
+    for (const auto& m : inbox) {
+      if (m) ++heard[v];
+      h = h * 1099511628211ull + (m ? *m : 7);
+    }
+    value[v] = h | 1;
+    stepped_in[v] = round;
+    ++steps[v];
+  }
+  bool done(NodeId v) const { return value[v] != 0; }
+};
+
+static_assert(kEngineCalendar<WakeFold>);
+static_assert(!kEngineCalendar<Countdown>);
+
+TEST_F(EngineTest, CalendarSkipsIdleRoundsButCountsThem) {
+  exec_context().threads = 1;
+  const Graph g = build::path(6);
+  const std::vector<int> wake = {1, 5, 5, 40, 41, 300};
+  WakeFold alg(wake);
+  MessageEngineStats stats;
+  EXPECT_EQ(run_message_rounds(g, alg, 300, &stats), 300);
+  EXPECT_EQ(stats.rounds, 300);
+  EXPECT_EQ(stats.node_steps, 6);
+  for (NodeId v = 0; v < 6; ++v) {
+    EXPECT_EQ(alg.stepped_in[v], wake[v]) << v;
+    EXPECT_EQ(alg.steps[v], 1) << v;
+  }
+  // Executed rounds: 1, 2 (node 0 drains), 5, 6, 40, 41, 42, 300 — three
+  // serial phases each (send, step, rebuild; sticky presence is never
+  // cleared). Every other round is skipped without a phase.
+  EXPECT_EQ(stats.serial_phases, 3 * 8);
+  EXPECT_EQ(stats.pooled_phases, 0);
+  // Node 2 woke with node 1 (nothing final yet); node 3 heard node 2.
+  EXPECT_EQ(alg.heard[2], 0);
+  EXPECT_EQ(alg.heard[3], 1);
+}
+
+TEST_F(EngineTest, LateSleeperReadsLongDrainedNeighborsFinalMessage) {
+  exec_context().threads = 1;
+  // Node 0 steps in round 1, drains in round 2 and is silent afterwards;
+  // node 1 wakes 1000 rounds after that drain round.
+  const Graph g = build::path(2);
+  WakeFold alg({1, 1002});
+  EXPECT_EQ(run_message_rounds(g, alg, 1002), 1002);
+  EXPECT_EQ(alg.heard[1], 1);
+  // Node 1's fold over exactly that one message.
+  std::uint64_t h = 0x9e3779b97f4a7c15ull ^ 1u;
+  h = h * 1099511628211ull + alg.value[0];
+  EXPECT_EQ(alg.value[1], h | 1);
+}
+
+TEST_F(EngineTest, WakeRoundPastBudgetThrowsAndEngineIsReusable) {
+  // 4096 nodes = 64 frontier words, so at 4 threads round 1 pools before
+  // the calendar's jump to round 1e6 trips the budget.
+  const Graph g = build::family("cycle", 4096, 3, 11);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    exec_context().threads = threads;
+    std::vector<int> wake(g.num_nodes(), 1);
+    wake[17] = 1000000;
+    WakeFold late(wake);
+    EXPECT_THROW(run_message_rounds(g, late, 100), ContractViolation);
+
+    wake[17] = 100;
+    WakeFold fits(wake);
+    MessageEngineStats stats;
+    EXPECT_EQ(run_message_rounds(g, fits, 100, &stats), 100);
+    EXPECT_EQ(stats.node_steps, static_cast<std::int64_t>(g.num_nodes()));
+    EXPECT_EQ(stats.pooled_phases > 0, threads > 1);
+  }
+}
+
+TEST_F(EngineTest, CalendarSerialEqualsParallelAtPoolingScale) {
+  // 4096 nodes: the early rounds wake ~200 nodes over most of the 64
+  // frontier words and pool at 4 threads; the sparse late wakers run
+  // serial rounds after pooled ones (the busy-word list is rebuilt then).
+  const Graph g = build::family("regular", 4096, 3, 17);
+  std::vector<int> wake(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    wake[v] = v % 512 == 0 ? 100 + static_cast<int>(v / 512)
+                           : 1 + static_cast<int>((v * 2654435761u) % 20);
+  const auto run_at = [&](int threads, MessageEngineStats& stats) {
+    exec_context().threads = threads;
+    WakeFold alg(wake);
+    const int rounds = run_message_rounds(g, alg, 200, &stats);
+    EXPECT_EQ(rounds, 107);
+    return alg;
+  };
+  MessageEngineStats s1, s4;
+  const WakeFold serial = run_at(1, s1);
+  const WakeFold parallel = run_at(4, s4);
+  EXPECT_EQ(serial.value, parallel.value);
+  EXPECT_EQ(serial.stepped_in, parallel.stepped_in);
+  EXPECT_EQ(serial.stepped_in, wake);
+  EXPECT_EQ(s1.node_steps, static_cast<std::int64_t>(g.num_nodes()));
+  EXPECT_EQ(s1.node_steps, s4.node_steps);
+  EXPECT_EQ(s1.node_sends, s4.node_sends);
+  EXPECT_EQ(s1.pooled_phases, 0);
+  EXPECT_GT(s4.pooled_phases, 0);
+  EXPECT_GT(s4.serial_phases, 0);
+}
+
+TEST_F(EngineTest, CalendarMakesNoPerRoundAllocation) {
+  exec_context().threads = 1;
+  const Graph g = build::family("regular", 1024, 3, 7);
+  const auto allocs_for_classes = [&](int k) {
+    std::vector<int> wake(g.num_nodes());
+    for (NodeId v = 0; v < g.num_nodes(); ++v)
+      wake[v] = 1 + static_cast<int>(v % static_cast<NodeId>(k));
+    WakeFold alg(wake);
+    const std::size_t before = g_heap_allocs.load();
+    EXPECT_EQ(run_message_rounds(g, alg, k + 1), k);
+    return g_heap_allocs.load() - before;
+  };
+  // 12x the rounds (and wake classes) costs zero extra allocations: the
+  // calendar, the busy-word list and its merge buffer are run-scoped.
+  const std::size_t short_run = allocs_for_classes(8);
+  const std::size_t long_run = allocs_for_classes(96);
+  EXPECT_EQ(short_run, long_run);
+  EXPECT_LE(long_run, 16u);
 }
 
 }  // namespace
