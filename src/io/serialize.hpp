@@ -36,9 +36,9 @@
 namespace padlock::io {
 
 /// Largest `nodes` header read_graph accepts (2^26, the CLI's cap on
-/// --nodes and --base-nodes). The header is untrusted: a node count costs memory
-/// even with no edge lines behind it, so a larger one is refused before
-/// anything is allocated.
+/// --nodes and --base-nodes). The header is untrusted: a node count costs
+/// memory even with no edge lines behind it, so a larger one is refused
+/// before anything is allocated.
 inline constexpr std::size_t kMaxGraphNodes = std::size_t{1} << 26;
 
 void write_graph(std::ostream& os, const Graph& g);

@@ -57,21 +57,13 @@ class WordBitset {
   void set(std::size_t i) { words_[i / kWordBits] |= bit_mask(i); }
   void reset(std::size_t i) { words_[i / kWordBits] &= ~bit_mask(i); }
 
-  /// Atomic bit ops for words shared between concurrent writers (the
-  /// edge-indexed layouts). Relaxed ordering suffices: phases are separated
-  /// by the pool's join barrier, and OR/AND of per-writer-disjoint masks
-  /// commute, so the final word value is order-independent.
-  void set_atomic(std::size_t i) {
-    std::atomic_ref<std::uint64_t>(words_[i / kWordBits])
-        .fetch_or(bit_mask(i), std::memory_order_relaxed);
-  }
-  void reset_atomic(std::size_t i) {
-    std::atomic_ref<std::uint64_t>(words_[i / kWordBits])
-        .fetch_and(~bit_mask(i), std::memory_order_relaxed);
-  }
-  /// Atomic set returning the previous value of bit i — exact whenever bit
-  /// i has a single writer (concurrent writers only touch *other* bits of
-  /// the word), as in the port-liveness kill path.
+  /// Atomic set returning the previous value of bit i, for words shared
+  /// between concurrent writers (the edge-indexed layouts). Relaxed
+  /// ordering suffices: phases are separated by the pool's join barrier,
+  /// and OR of per-writer-disjoint masks commutes, so the final word value
+  /// is order-independent. The returned bit is exact whenever bit i has a
+  /// single writer (concurrent writers only touch *other* bits of the
+  /// word), as in the port-liveness kill path.
   bool fetch_set_atomic(std::size_t i) {
     const std::uint64_t old =
         std::atomic_ref<std::uint64_t>(words_[i / kWordBits])

@@ -276,7 +276,6 @@ inline constexpr std::size_t kEngineWordGrain = 16;
 
 }  // namespace detail
 
-
 /// Executes `alg` on g until every node is done — the round executor every
 /// round-based algorithm calls (see the file comment for the precise
 /// lifecycle). `max_rounds` is the contract budget — exceeding it throws

@@ -61,10 +61,10 @@ TEST(WordBitsetTest, AtomicOpsMatchPlainOps) {
   for (const std::size_t i : {std::size_t{1}, std::size_t{63}, std::size_t{64},
                               std::size_t{129}}) {
     plain.set(i);
-    atomic.set_atomic(i);
+    atomic.or_word(i / 64, std::uint64_t{1} << (i % 64), /*shared=*/true);
   }
   plain.reset(63);
-  atomic.reset_atomic(63);
+  atomic.andnot_word(0, std::uint64_t{1} << 63, /*shared=*/true);
   for (std::size_t i = 0; i < 130; ++i)
     EXPECT_EQ(plain.test(i), atomic.test_atomic(i)) << "bit " << i;
 }

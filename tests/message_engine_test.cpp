@@ -507,6 +507,19 @@ struct WakeFold {
 static_assert(kEngineCalendar<WakeFold>);
 static_assert(!kEngineCalendar<Countdown>);
 
+// Breaks the final-only promise: sends while still undecided.
+struct EagerWakeFold : WakeFold {
+  using WakeFold::WakeFold;
+  std::optional<Message> send(NodeId v, int, int) { return v + 1; }
+};
+
+TEST_F(EngineTest, CalendarRefusesSendsBeforeDone) {
+  exec_context().threads = 1;
+  const Graph g = build::path(2);
+  EagerWakeFold alg({1, 3});
+  EXPECT_THROW(run_message_rounds(g, alg, 10), ContractViolation);
+}
+
 TEST_F(EngineTest, CalendarSkipsIdleRoundsButCountsThem) {
   exec_context().threads = 1;
   const Graph g = build::path(6);
