@@ -6,8 +6,8 @@
 // the thread pool (pass --threads N to pin the worker count; default: all
 // cores). Per pair the table shows the cubic instance unless the pair's
 // precondition restricts it to cycles. The O(id_space)-rounds color-reduce
-// baseline runs the same sizes: on the engine's wake-up calendar its wall
-// time is O(n + m + rounds), so it needs no size cap of its own.
+// baseline runs the same sizes (on the engine's wake-up calendar its wall
+// time is O(n + m + rounds)).
 //
 // Shapes to observe: the Θ(log* n) rows are essentially flat, the
 // randomized O(log n) rows grow gently, the deterministic sinkless row

@@ -302,7 +302,9 @@ int run_message_rounds(const Graph& g, Alg& alg, std::int64_t max_rounds,
   WordBitset drain(n);
   const std::size_t num_words = active.num_words();
 
-  // Sleepers go to the calendar; everyone else undone starts active.
+  // Sleepers go to the calendar; everyone else undone starts active. Each
+  // wake round is read once into `wake` (4 B per node, freed before round
+  // 1) for the calendar's counting sort.
   std::size_t active_count = 0;
   std::size_t drain_count = 0;
   WakeCalendar calendar;
