@@ -85,10 +85,8 @@ int main(int argc, char** argv) {
                fmt(r.rnd, 1)});
   }
   t.print();
-  // Scenario batches build bespoke instances (no named-family menu), so
-  // the sweep-wide graph cache reports off here.
-  std::printf("(batch: %.1f ms on %d threads; %s)\n", out.wall_ns / 1e6,
-              out.threads, cache_note(out).c_str());
+  std::printf("(batch: %.1f ms on %d threads)\n", out.wall_ns / 1e6,
+              out.threads);
   std::printf(
       "\nExpected shape: rounds fall off sharply toward base-heavy splits\n"
       "(beta -> 1: stretch collapses) and level off toward gadget-heavy\n"

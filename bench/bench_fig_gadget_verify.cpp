@@ -90,10 +90,8 @@ int main(int argc, char** argv) {
                std::to_string(r.psig_ok)});
   }
   t.print();
-  // Scenario batches build bespoke instances (no named-family menu), so
-  // the sweep-wide graph cache reports off here.
-  std::printf("(batch: %.1f ms on %d threads; %s)\n", out.wall_ns / 1e6,
-              out.threads, cache_note(out).c_str());
+  std::printf("(batch: %.1f ms on %d threads)\n", out.wall_ns / 1e6,
+              out.threads);
   std::printf(
       "\nExpected shape: V rounds grow linearly in the height, i.e.\n"
       "O(log n) in the gadget size; every fault detected, every proof "

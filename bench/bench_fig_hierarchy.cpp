@@ -80,10 +80,8 @@ int main(int argc, char** argv) {
                fmt(r.det / std::pow(lg, c.level), 3)});
   }
   t.print();
-  // Scenario batches build bespoke instances (no named-family menu), so
-  // the sweep-wide graph cache reports off here.
-  std::printf("(batch: %.1f ms on %d threads; %s)\n", out.wall_ns / 1e6,
-              out.threads, cache_note(out).c_str());
+  std::printf("(batch: %.1f ms on %d threads)\n", out.wall_ns / 1e6,
+              out.threads);
   std::printf(
       "\nExpected shape: raw deterministic rounds jump by roughly a log2(N)\n"
       "factor per level; the normalized column is comparable across sizes\n"

@@ -307,8 +307,10 @@ std::vector<ScenarioTask> substrate_scenarios(int engine_max_exp) {
 }
 
 void print_rows(const char* title, const SweepOutcome& outcome) {
-  std::printf("\n%s (threads=%d, %s)\n", title, outcome.threads,
-              cache_note(outcome).c_str());
+  std::string header = "threads=" + std::to_string(outcome.threads);
+  // Only run_batch outcomes go through the graph cache.
+  if (outcome.cached) header += ", " + cache_note(outcome);
+  std::printf("\n%s (%s)\n", title, header.c_str());
   Table t({"workload", "n", "rounds", "ok", "wall min (us)", "wall med (us)"});
   for (const SweepRow& row : outcome.rows) {
     if (row.skipped()) continue;

@@ -1,15 +1,10 @@
 #include <algorithm>
-#include <unordered_map>
 
 #include "core/pi_prime.hpp"
 #include "gadget/path_psi.hpp"
 #include "graph/metrics.hpp"
 
 namespace padlock {
-
-namespace {
-
-}  // namespace
 
 PiPrimeSolveResult solve_pi_prime(const PaddedInstance& inst,
                                   const InnerSolver& solve_pi,
@@ -77,43 +72,33 @@ PiPrimeSolveResult solve_pi_prime(const PaddedInstance& inst,
   }
 
   // ---- Step 3: contract valid gadgets into the virtual multigraph. ----
-  std::unordered_map<int, NodeId> comp_to_virtual;
-  std::vector<int> virtual_to_comp;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const int c = comps.id[v];
-    if (!comp_valid[static_cast<std::size_t>(c)]) continue;
-    if (!comp_to_virtual.contains(c)) {
-      comp_to_virtual.emplace(c, static_cast<NodeId>(virtual_to_comp.size()));
-      virtual_to_comp.push_back(c);
-    }
-  }
+  // Valid components become virtual nodes in component order; invalid ones
+  // map to kNoNode.
+  std::vector<NodeId> comp_virtual(static_cast<std::size_t>(comps.count),
+                                   kNoNode);
+  std::size_t num_virtual = 0;
+  for (std::size_t c = 0; c < comp_virtual.size(); ++c)
+    if (comp_valid[c]) comp_virtual[c] = static_cast<NodeId>(num_virtual++);
+  auto virtual_of = [&](NodeId v) {
+    return comp_virtual[static_cast<std::size_t>(comps.id[v])];
+  };
   // Valid ports of each component in ascending Port index — this realizes
   // the monotone port mapping α.
-  std::vector<std::vector<NodeId>> comp_ports(virtual_to_comp.size());
-  {
-    std::vector<std::vector<NodeId>> tmp(virtual_to_comp.size());
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (!valid_port(v)) continue;
-      const auto it = comp_to_virtual.find(comps.id[v]);
-      if (it == comp_to_virtual.end()) continue;
-      tmp[it->second].push_back(v);
-    }
-    for (std::size_t c = 0; c < tmp.size(); ++c) {
-      auto& ports = tmp[c];
-      std::sort(ports.begin(), ports.end(), [&](NodeId a, NodeId b) {
-        return inst.gadget.port[a] < inst.gadget.port[b];
-      });
-      comp_ports[c] = std::move(ports);
-    }
-  }
+  std::vector<std::vector<NodeId>> comp_ports(num_virtual);
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    if (valid_port(v)) comp_ports[virtual_of(v)].push_back(v);
+  for (auto& ports : comp_ports)
+    std::sort(ports.begin(), ports.end(), [&](NodeId a, NodeId b) {
+      return inst.gadget.port[a] < inst.gadget.port[b];
+    });
   // Rank of each valid port inside its component's α order.
   NodeMap<int> port_rank(g, -1);
   for (std::size_t c = 0; c < comp_ports.size(); ++c)
     for (std::size_t k = 0; k < comp_ports[c].size(); ++k)
       port_rank[comp_ports[c][k]] = static_cast<int>(k);
 
-  GraphBuilder vb(virtual_to_comp.size());
-  vb.add_nodes(virtual_to_comp.size());
+  GraphBuilder vb(num_virtual);
+  vb.add_nodes(num_virtual);
   NeLabeling vinput;
   {
     // Each PortEdge between valid ports becomes one virtual edge. The
@@ -132,8 +117,7 @@ PiPrimeSolveResult solve_pi_prime(const PaddedInstance& inst,
         const EdgeId pe = the_port_edge[p];
         const int side = g.endpoint(pe, 0) == p ? 0 : 1;
         const NodeId q = g.endpoint(pe, 1 - side);
-        const auto cq = static_cast<std::size_t>(
-            comp_to_virtual.at(comps.id[q]));
+        const auto cq = static_cast<std::size_t>(virtual_of(q));
         const auto kq = static_cast<std::size_t>(port_rank[q]);
         const bool q_first = cq < c || (cq == c && kq < k);
         if (q_first) continue;  // added from the other endpoint
@@ -151,9 +135,9 @@ PiPrimeSolveResult solve_pi_prime(const PaddedInstance& inst,
     // Virtual ids: the smallest padded id inside the gadget.
     IdMap vids(vgraph, 0);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      const auto it = comp_to_virtual.find(comps.id[v]);
-      if (it == comp_to_virtual.end()) continue;
-      auto& slot = vids[it->second];
+      const NodeId vc = virtual_of(v);
+      if (vc == kNoNode) continue;
+      auto& slot = vids[vc];
       if (slot == 0 || ids[v] < slot) slot = ids[v];
     }
     // Virtual inputs: ι^V from Port_1 (falling back to any gadget node,
@@ -161,10 +145,10 @@ PiPrimeSolveResult solve_pi_prime(const PaddedInstance& inst,
     // inputs from the PortEdges.
     vinput = NeLabeling(vgraph);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      const auto it = comp_to_virtual.find(comps.id[v]);
-      if (it == comp_to_virtual.end()) continue;
-      if (inst.gadget.port[v] == 1 || vinput.node[it->second] == kEmptyLabel)
-        vinput.node[it->second] = inst.pi_input.node[v];
+      const NodeId vc = virtual_of(v);
+      if (vc == kNoNode) continue;
+      if (inst.gadget.port[v] == 1 || vinput.node[vc] == kEmptyLabel)
+        vinput.node[vc] = inst.pi_input.node[v];
     }
     for (EdgeId ve = 0; ve < vgraph.num_edges(); ++ve) {
       const auto [pe, side] = vedge_from[static_cast<std::size_t>(ve)];
@@ -180,8 +164,9 @@ PiPrimeSolveResult solve_pi_prime(const PaddedInstance& inst,
     res.inner_rounds = inner.rounds;
 
     // ---- Step 5: write Σ_list back into every valid gadget node. ----
-    for (std::size_t c = 0; c < virtual_to_comp.size(); ++c) {
-      SigmaList list(delta);
+    std::vector<SigmaList> lists(num_virtual, SigmaList(delta));
+    for (std::size_t c = 0; c < num_virtual; ++c) {
+      SigmaList& list = lists[c];
       const auto vc = static_cast<NodeId>(c);
       list.iota_v = vinput.node[vc];
       list.o_v = inner.output.node[vc];
@@ -204,20 +189,19 @@ PiPrimeSolveResult solve_pi_prime(const PaddedInstance& inst,
         list.o_b[static_cast<std::size_t>(i - 1)] =
             inner.output.half[HalfEdge{ve, vside}];
       }
-      for (NodeId v = 0; v < g.num_nodes(); ++v)
-        if (comps.id[v] == virtual_to_comp[c]) res.output.list[v] = list;
+    }
+    // One pass writes the lists and finds the largest valid-gadget
+    // diameter: the verifier report already carries per-node eccentricity
+    // estimates, and a component's diameter is their maximum.
+    int max_gadget_diam = 0;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const NodeId vc = virtual_of(v);
+      if (vc == kNoNode) continue;
+      res.output.list[v] = lists[vc];
+      max_gadget_diam = std::max(max_gadget_diam, ver.report.node_rounds[v]);
     }
 
     // ---- Round accounting (Lemma 4). ----
-    int max_gadget_diam = 0;
-    for (std::size_t c = 0; c < virtual_to_comp.size(); ++c) {
-      // Verifier report already carries per-node eccentricity estimates;
-      // the component diameter is their maximum.
-      for (NodeId v = 0; v < g.num_nodes(); ++v)
-        if (comps.id[v] == virtual_to_comp[c])
-          max_gadget_diam =
-              std::max(max_gadget_diam, ver.report.node_rounds[v]);
-    }
     res.stretch = max_gadget_diam + 1;
     res.verifier_rounds = ver.report.rounds;
     NodeMap<int> per_node(g, 0);

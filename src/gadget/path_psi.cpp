@@ -1,6 +1,5 @@
 #include "gadget/path_psi.hpp"
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -30,66 +29,6 @@ bool step_allowed(const GadgetLabels& labels, NodeId u, int ptr, int far_out) {
   }
   if (is_down_label(h)) return fh == kHalfRight;
   return false;
-}
-
-/// For each node, whether an Error node is reachable by following `label`
-/// halves one or more times. Handles pointer-graph cycles (wrap-around
-/// impostors): a cycle reaches an error iff a cycle member is an error or
-/// steps to one.
-NodeMap<bool> chain_error(const Graph& g, const GadgetLabels& labels,
-                          const NodeMap<bool>& is_error, int label) {
-  const std::size_t n = g.num_nodes();
-  NodeMap<bool> result(n, false);
-  // memo: 0 unknown, 1 false, 2 true
-  std::vector<unsigned char> memo(n, 0);
-  std::vector<NodeId> stack;
-  for (NodeId s = 0; s < n; ++s) {
-    if (memo[s] != 0) continue;
-    stack.clear();
-    NodeId v = s;
-    // Walk until a memoized node, a dead end, an error step, or a revisit
-    // within this walk (memo state 3 = on the current stack ⇒ cycle).
-    bool value = false;
-    bool decided = false;
-    for (;;) {
-      const NodeId w = follow_label(g, labels, v, label);
-      if (w == kNoNode) {
-        value = false;
-        decided = true;
-        break;
-      }
-      if (is_error[w]) {
-        value = true;
-        decided = true;
-        break;
-      }
-      if (memo[w] == 1 || memo[w] == 2) {
-        value = memo[w] == 2;
-        decided = true;
-        break;
-      }
-      if (memo[w] == 3) {
-        // Cycle: no error among on-stack members' steps; everyone on the
-        // cycle (and its tail) resolves to false.
-        value = false;
-        decided = true;
-        break;
-      }
-      memo[v] = 3;
-      stack.push_back(v);
-      v = w;
-    }
-    PADLOCK_REQUIRE(decided);
-    memo[v] = value ? 2 : 1;
-    result[v] = value;
-    while (!stack.empty()) {
-      const NodeId u = stack.back();
-      stack.pop_back();
-      memo[u] = value ? 2 : 1;
-      result[u] = value;
-    }
-  }
-  return result;
 }
 
 struct PsiPlan {
@@ -123,9 +62,9 @@ PsiPlan plan_psi(const Graph& g, const GadgetLabels& labels) {
   }
 
   const NodeMap<bool> right_err =
-      chain_error(g, labels, plan.is_error, kHalfRight);
+      label_chain_reaches(g, labels, plan.is_error, kHalfRight);
   const NodeMap<bool> left_err =
-      chain_error(g, labels, plan.is_error, kHalfLeft);
+      label_chain_reaches(g, labels, plan.is_error, kHalfLeft);
 
   for (NodeId v = 0; v < n; ++v) {
     if (!comp_has_error[static_cast<std::size_t>(comps.id[v])]) {
@@ -169,46 +108,6 @@ PsiPlan plan_psi(const Graph& g, const GadgetLabels& labels) {
     plan.out[v] = psi_pointer(down_label(chosen));
   }
   return plan;
-}
-
-/// Per-node round estimates: distance-based eccentricity lower bounds from
-/// a BFS double sweep per component (exact on paths and trees, which is
-/// what valid gadgets are).
-RoundReport path_verifier_report(const Graph& g) {
-  const std::size_t n = g.num_nodes();
-  NodeMap<int> rounds(n, 0);
-  const Components comps = connected_components(g);
-  std::vector<NodeId> rep(static_cast<std::size_t>(comps.count), kNoNode);
-  for (NodeId v = 0; v < n; ++v) {
-    auto& r = rep[static_cast<std::size_t>(comps.id[v])];
-    if (r == kNoNode) r = v;
-  }
-  for (const NodeId s : rep) {
-    if (s == kNoNode) continue;
-    const NodeMap<int> d0 = bfs_distances(g, s);
-    NodeId far1 = s;
-    for (NodeId v = 0; v < n; ++v) {
-      if (comps.id[v] == comps.id[s] && d0[v] != kUnreachable &&
-          d0[v] > d0[far1]) {
-        far1 = v;
-      }
-    }
-    const NodeMap<int> d1 = bfs_distances(g, far1);
-    NodeId far2 = far1;
-    for (NodeId v = 0; v < n; ++v) {
-      if (comps.id[v] == comps.id[s] && d1[v] != kUnreachable &&
-          d1[v] > d1[far2]) {
-        far2 = v;
-      }
-    }
-    const NodeMap<int> d2 = bfs_distances(g, far2);
-    for (NodeId v = 0; v < n; ++v) {
-      if (comps.id[v] != comps.id[s]) continue;
-      rounds[v] = std::max(d1[v] == kUnreachable ? 0 : d1[v],
-                           d2[v] == kUnreachable ? 0 : d2[v]);
-    }
-  }
-  return RoundReport::from(std::move(rounds));
 }
 
 }  // namespace
@@ -267,7 +166,7 @@ VerifierResult run_path_verifier(const Graph& g, const GadgetLabels& labels) {
   VerifierResult res;
   res.output = plan.out;
   res.found_error = plan.found_error;
-  res.report = path_verifier_report(g);
+  res.report = gadget_round_report(g);
   return res;
 }
 
@@ -450,7 +349,7 @@ NeVerifierResult run_path_verifier_ne(const Graph& g,
       res.output.witness[v] = wit;
     }
   }
-  res.report = path_verifier_report(g);
+  res.report = gadget_round_report(g);
   return res;
 }
 

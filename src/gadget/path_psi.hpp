@@ -21,6 +21,11 @@
 // every Down_j answer contradicts sub-path j's own Up pointer or dies at
 // port j. The tests reproduce this with an exhaustive search.
 //
+// The verifier shares its decision core and round accounting with the tree
+// family's (verifier.hpp): label_chain_reaches finds the Right/Left chains
+// that reach an Error, and gadget_round_report charges every node its
+// component's double-sweep eccentricity.
+//
 // The ne-refinement reuses PsiNeOutput. Path gadgets need only three
 // witness kinds (no boundary masks, no chain claims — every structural
 // fact is visible on a node or a single edge):

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "algo/color_reduce.hpp"
@@ -10,6 +12,7 @@
 #include "gadget/ne_refinement.hpp"
 #include "gadget/psi.hpp"
 #include "gadget/verifier.hpp"
+#include "graph/builders.hpp"
 #include "graph/metrics.hpp"
 
 namespace padlock {
@@ -385,6 +388,128 @@ TEST(Verifier, MixedComponentsJudgedIndependently) {
   for (NodeId v = off; v < g.num_nodes(); ++v) any_err |= res.output[v] != kPsiOk;
   EXPECT_TRUE(any_err);
   EXPECT_TRUE(check_psi(g, labels, res.output).ok);
+}
+
+// ---- The shared Ψ core: chain reachability and the round report --------------
+
+/// `n` nodes and one edge per arc (u, v), labeled `label` at u and None at
+/// v, so follow_label(u, label) walks the arcs.
+struct LabelChain {
+  Graph g;
+  GadgetLabels labels;
+};
+LabelChain label_chain(std::size_t n,
+                       const std::vector<std::pair<NodeId, NodeId>>& arcs,
+                       int label = kHalfRight) {
+  GraphBuilder b;
+  b.add_nodes(n);
+  for (const auto& [u, v] : arcs) b.add_edge(u, v);
+  LabelChain c{std::move(b).build(), {}};
+  c.labels = GadgetLabels(c.g);
+  for (EdgeId e = 0; e < c.g.num_edges(); ++e)
+    c.labels.half[HalfEdge{e, 0}] = label;
+  return c;
+}
+
+NodeMap<bool> node_set(std::size_t n, const std::vector<NodeId>& members) {
+  NodeMap<bool> set(n, false);
+  for (const NodeId v : members) set[v] = true;
+  return set;
+}
+
+std::vector<bool> as_vector(const NodeMap<bool>& m) {
+  return {m.begin(), m.end()};
+}
+
+TEST(LabelChainReaches, RhoWalkIntoTargetFreeCycleReachesNothing) {
+  // 0 -> 1 -> 2 -> 3 -> 4 -> 2; node 5 is a target nobody steps onto.
+  const auto c = label_chain(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 2}});
+  const auto r = label_chain_reaches(c.g, c.labels, node_set(6, {5}),
+                                     kHalfRight);
+  EXPECT_EQ(as_vector(r), std::vector<bool>(6, false));
+}
+
+TEST(LabelChainReaches, TargetOnTheTailButNotOnTheCycle) {
+  // 0 -> 1 -> 2 -> 3 -> 1 is a cycle; 4 -> 5 -> 0 enters it, and 5 is a
+  // target. Only 4 steps onto 5; 5's own walk ends in the cycle.
+  const auto c =
+      label_chain(6, {{0, 1}, {1, 2}, {2, 3}, {3, 1}, {4, 5}, {5, 0}});
+  const auto r = label_chain_reaches(c.g, c.labels, node_set(6, {5}),
+                                     kHalfRight);
+  EXPECT_EQ(as_vector(r),
+            (std::vector<bool>{false, false, false, false, true, false}));
+}
+
+TEST(LabelChainReaches, TargetStartIsDecidedByItsOwnWalk) {
+  // Cycle 0 -> 1 -> 2 -> 0 with target 1: every member reaches 1, the
+  // target too (it walks around to itself). Target 3 -> 4 -> dead end
+  // reaches no target.
+  const auto c = label_chain(5, {{0, 1}, {1, 2}, {2, 0}, {3, 4}});
+  const auto r = label_chain_reaches(c.g, c.labels, node_set(5, {1, 3}),
+                                     kHalfRight);
+  EXPECT_EQ(as_vector(r),
+            (std::vector<bool>{true, true, true, false, false}));
+}
+
+TEST(LabelChainReaches, AmbiguousStepEndsTheWalk) {
+  // 0 has two Right halves (to targets 1 and 2): follow_label returns
+  // kNoNode, so neither 0 nor 3 -> 0 reaches a target; 4 -> 1 does.
+  const auto c = label_chain(5, {{0, 1}, {0, 2}, {3, 0}, {4, 1}});
+  ASSERT_EQ(follow_label(c.g, c.labels, 0, kHalfRight), kNoNode);
+  const auto r = label_chain_reaches(c.g, c.labels, node_set(5, {1, 2}),
+                                     kHalfRight);
+  EXPECT_EQ(as_vector(r),
+            (std::vector<bool>{false, false, false, false, true}));
+}
+
+TEST(LabelChainReaches, FollowsOnlyTheGivenLabel) {
+  const auto c = label_chain(3, {{0, 1}, {1, 2}}, kHalfParent);
+  const auto targets = node_set(3, {2});
+  EXPECT_EQ(as_vector(label_chain_reaches(c.g, c.labels, targets,
+                                          kHalfParent)),
+            (std::vector<bool>{true, true, false}));
+  EXPECT_EQ(as_vector(label_chain_reaches(c.g, c.labels, targets,
+                                          kHalfRight)),
+            std::vector<bool>(3, false));
+}
+
+TEST(GadgetRoundReport, DisjointPathsAndTreesGetExactEccentricities) {
+  // Components of different sizes and shapes in one graph: a lone node, a
+  // single edge, paths, binary trees and a star, in mixed order.
+  std::vector<Graph> parts;
+  parts.push_back(build::complete_binary_tree(4));
+  parts.push_back(build::path(1));
+  parts.push_back(build::path(9));
+  parts.push_back(build::path(2));
+  parts.push_back(build::complete_binary_tree(2));
+  GraphBuilder star;
+  star.add_nodes(6);
+  for (NodeId leaf = 0; leaf < 5; ++leaf) star.add_edge(leaf, 5);
+  parts.push_back(std::move(star).build());
+  parts.push_back(build::path(4));
+  GraphBuilder b;
+  for (const Graph& part : parts) {
+    const NodeId off = b.add_nodes(part.num_nodes());
+    for (EdgeId e = 0; e < part.num_edges(); ++e)
+      b.add_edge(off + part.endpoint(e, 0), off + part.endpoint(e, 1));
+  }
+  const Graph g = std::move(b).build();
+  ASSERT_EQ(connected_components(g).count, static_cast<int>(parts.size()));
+
+  const RoundReport report = gadget_round_report(g);
+  int max_ecc = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(report.node_rounds[v], eccentricity(g, v)) << "node " << v;
+    max_ecc = std::max(max_ecc, eccentricity(g, v));
+  }
+  EXPECT_EQ(report.rounds, max_ecc);
+  EXPECT_EQ(report.rounds, 8);  // the 9-node path
+}
+
+TEST(GadgetRoundReport, EmptyGraph) {
+  const RoundReport report = gadget_round_report(Graph{});
+  EXPECT_EQ(report.rounds, 0);
+  EXPECT_EQ(report.node_rounds.size(), 0u);
 }
 
 }  // namespace

@@ -152,7 +152,7 @@ std::string refused_or(const std::function<std::string()>& f) {
 GadgetInstance disjoint_union(const std::vector<GadgetInstance>& parts) {
   std::size_t n = 0;
   for (const auto& p : parts) n += p.graph.num_nodes();
-  GraphBuilder b(n);
+  GraphBuilder b;
   b.add_nodes(n);
   NodeId offset = 0;
   for (const auto& p : parts) {
