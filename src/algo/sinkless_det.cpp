@@ -4,17 +4,22 @@
 
 #include <algorithm>
 #include <bit>
-#include <queue>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/metrics.hpp"
+#include "support/thread_pool.hpp"
 
 namespace padlock {
 
 namespace {
 
 constexpr std::size_t kEnumBudget = 4'000'000;
+
+/// Nodes per chunk of the pooled per-node loops. On an expander one node's
+/// search covers a ball of about sqrt(n) nodes, so chunks stay small; a
+/// graph of at most one chunk runs inline.
+constexpr std::size_t kNodeGrain = 256;
 
 int ceil_log2(std::size_t n) {
   if (n <= 1) return 0;
@@ -39,259 +44,228 @@ std::uint64_t edge_key(const Graph& g, const IdMap& ids, EdgeId e) {
          static_cast<std::uint32_t>(pv);
 }
 
+// ---- Per-thread search scratch ---------------------------------------------
+
+/// One search's ball around its root: a flat per-node record array (a
+/// node's four fields share one 16-byte record, so a ball of a few thousand
+/// scattered nodes costs one cache miss per node, not four) and `touched`,
+/// the nodes with dist != -1 in BFS order, which doubles as the BFS queue.
+/// Every search starts from fresh_ball(), which clears the previous
+/// search's records from `touched`; a search cut short by an exception (the
+/// enumeration budget) leaves records behind, and the next search removes
+/// them before it reads anything. The one read across two calls is
+/// cycle_claim's reuse of the ball that short_cycle_through just left for
+/// the same root.
+struct Ball {
+  struct Node {
+    int dist = -1;
+    int subtree = -1;  // port at the root of the BFS tree's first hop
+    EdgeId via = kNoEdge;  // BFS tree edge into the node
+    bool on_path = false;  // on the DFS path
+  };
+  std::vector<Node> node;
+  std::vector<NodeId> touched;
+  std::vector<NodeId> path_nodes;  // DFS path from the root
+  std::vector<EdgeId> path_edges;  // path_edges[i] joins path_nodes[i], [i+1]
+  // Canonical sequence of the best cycle so far: (id, edge key) per step.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> best;
+};
+
+thread_local Ball tl_ball;
+
+Ball& fresh_ball(const Graph& g) {
+  Ball& b = tl_ball;
+  if (b.node.size() < g.num_nodes()) {
+    b.node.assign(g.num_nodes(), Ball::Node{});
+  } else {
+    for (const NodeId t : b.touched) b.node[t] = Ball::Node{};
+  }
+  b.touched.clear();
+  return b;
+}
+
 }  // namespace
 
 int sinkless_det_cycle_budget(std::size_t n_known) {
   return 2 * ceil_log2(std::max<std::size_t>(n_known, 2)) + 2;
 }
 
+// Leaves its BFS ball in tl_ball whenever it returns a length >= 3 (lengths
+// 1 and 2 are found on v's own ports, before any ball is grown).
 std::optional<int> short_cycle_through(const Graph& g, NodeId v, int budget) {
   PADLOCK_REQUIRE(v < g.num_nodes());
   PADLOCK_REQUIRE(budget >= 1);
+  Ball& b = fresh_ball(g);
+  const int limit = budget / 2;
+  b.node[v].dist = 0;
+  b.touched.push_back(v);
 
-  // Immediate cases: self-loop (length 1), parallel pair at v (length 2).
-  {
-    std::unordered_map<NodeId, int> seen;
-    for (int p = 0; p < g.degree(v); ++p) {
-      const NodeId w = g.neighbor(v, p);
-      if (w == v) return 1;  // self-loop occupies two ports; found either way
-      if (++seen[w] == 2 && budget >= 2) return 2;
+  // v's own ports, in port order: a self-loop closes a cycle of length 1,
+  // a second edge to the same neighbor one of length 2, and the first of
+  // the two seen decides (a parallel pair on earlier ports than a
+  // self-loop reports 2). Otherwise v's neighbors are distinct and form the
+  // BFS's first layer. A neighbor is marked only when budget >= 2, so
+  // budget 1 never reports 2.
+  int port = 0;
+  for (const HalfEdge h : g.incident(v)) {
+    const NodeId w = g.node_across(h);
+    if (w == v) return 1;
+    if (b.node[w].dist == 1) return 2;
+    if (limit >= 1) {
+      b.node[w].dist = 1;
+      b.node[w].subtree = port;
+      b.node[w].via = h.edge;
+      b.touched.push_back(w);
     }
+    ++port;
   }
 
   // Truncated BFS with root-subtree labels: the label of a node is the port
-  // (at v) of the tree edge's first hop. A non-tree edge joining different
-  // subtrees (or returning to the root) closes a simple cycle through v of
-  // length dist[x] + dist[y] + 1 (resp. dist[x] + 1), and conversely the
+  // (at v) of the tree edge's first hop; v itself has none. A non-tree edge
+  // joining different subtrees (or returning to the root) closes a simple
+  // cycle through v of length dist[x] + dist[y] + 1, and conversely the
   // shortest cycle through v is always witnessed by such an edge.
-  //
-  // Flat scratch arrays (reset via the touched list) keep the per-node
-  // sweep cheap; this function runs once per node in the batch solver.
-  thread_local std::vector<int> dist, subtree;
-  thread_local std::vector<EdgeId> via;
-  thread_local std::vector<NodeId> touched;
-  if (dist.size() < g.num_nodes()) {
-    dist.assign(g.num_nodes(), -1);
-    subtree.assign(g.num_nodes(), -1);
-    via.assign(g.num_nodes(), kNoEdge);
-  }
-  touched.clear();
-  dist[v] = 0;
-  subtree[v] = -1;
-  via[v] = kNoEdge;
-  touched.push_back(v);
-  std::queue<NodeId> q;
-  q.push(v);
   std::optional<int> best;
-  const int limit = budget / 2;
-  while (!q.empty()) {
-    const NodeId u = q.front();
-    q.pop();
-    const int du = dist[u];
-    if (du > limit) continue;
-    if (best && 2 * du - 1 >= *best) continue;  // cannot improve further
-    for (int p = 0; p < g.degree(u); ++p) {
-      const HalfEdge h = g.incidence(u, p);
+  for (std::size_t head = 1; head < b.touched.size(); ++head) {
+    const NodeId u = b.touched[head];
+    const int du = b.node[u].dist;
+    // u can only close cycles of length >= 2·du + 1: a non-tree edge to a
+    // node x at distance du - 1 was already seen, with the same length,
+    // when x was processed (for x == v, as a parallel pair above). Nodes
+    // leave in nondecreasing distance and best only shrinks, so the first
+    // node that cannot improve on best ends the search. Every node within
+    // floor(best/2) of v is in the ball by then.
+    if (best && 2 * du + 1 >= *best) break;
+    for (const HalfEdge h : g.incident(u)) {
       const NodeId w = g.node_across(h);
-      if (dist[w] == -1) {
+      if (b.node[w].dist == -1) {
         if (du + 1 > limit) continue;  // beyond the explored shell
-        dist[w] = du + 1;
-        subtree[w] = (u == v) ? p : subtree[u];
-        via[w] = h.edge;
-        touched.push_back(w);
-        q.push(w);
+        b.node[w].dist = du + 1;
+        b.node[w].subtree = b.node[u].subtree;
+        b.node[w].via = h.edge;
+        b.touched.push_back(w);
         continue;
       }
       // Known node: non-tree edge?
-      if (via[w] == h.edge || via[u] == h.edge) continue;
-      int len = 0;
-      if (w == v) {
-        len = du + 1;  // edge back to the root
-      } else if (subtree[w] != subtree[u]) {
-        len = du + dist[w] + 1;
-      } else {
-        continue;  // same-subtree chord: cycle need not pass through v
-      }
+      if (b.node[w].via == h.edge || b.node[u].via == h.edge) continue;
+      // A same-subtree chord closes a cycle that need not pass through v.
+      if (b.node[w].subtree == b.node[u].subtree) continue;
+      const int len = du + b.node[w].dist + 1;
       if (len <= budget && (!best || len < *best)) best = len;
     }
-  }
-  for (const NodeId t : touched) {
-    dist[t] = -1;
-    subtree[t] = -1;
-    via[t] = kNoEdge;
   }
   return best;
 }
 
 namespace {
 
-// ---- Canonical cycle machinery -------------------------------------------
+// ---- Canonical cycle claim -------------------------------------------------
 
-/// A simple cycle through some node, as parallel arrays: nodes[i] joined to
-/// nodes[(i+1) % k] by edges[i].
-struct Cycle {
-  std::vector<NodeId> nodes;
-  std::vector<EdgeId> edges;
-};
-
-using CanonSeq = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
-
-/// Canonical sequence: lexicographically smallest rotation/reflection of
-/// [(id(node_i), key(edge_i))]. A property of the cycle alone, so every
-/// observer derives the same sequence — and hence the same traversal
-/// direction.
-CanonSeq canonical_sequence(const Graph& g, const IdMap& ids, const Cycle& c,
-                            std::vector<NodeId>* canon_nodes,
-                            std::vector<EdgeId>* canon_edges) {
-  const std::size_t k = c.nodes.size();
-  PADLOCK_REQUIRE(k >= 1 && c.edges.size() == k);
-  CanonSeq best;
-  std::vector<NodeId> best_nodes;
-  std::vector<EdgeId> best_edges;
-  auto consider = [&](const std::vector<NodeId>& ns,
-                      const std::vector<EdgeId>& es) {
-    CanonSeq seq(k);
-    for (std::size_t i = 0; i < k; ++i)
-      seq[i] = {ids[ns[i]], edge_key(g, ids, es[i])};
-    if (best.empty() || seq < best) {
-      best = std::move(seq);
-      best_nodes = ns;
-      best_edges = es;
-    }
-  };
-  std::vector<NodeId> ns(k);
-  std::vector<EdgeId> es(k);
-  for (std::size_t r = 0; r < k; ++r) {
-    // Forward rotation starting at r.
-    for (std::size_t i = 0; i < k; ++i) {
-      ns[i] = c.nodes[(r + i) % k];
-      es[i] = c.edges[(r + i) % k];
-    }
-    consider(ns, es);
-    // Reflection: nodes reversed, edge i connects ns[i] to ns[i+1].
-    for (std::size_t i = 0; i < k; ++i) {
-      ns[i] = c.nodes[(r + k - i) % k];
-      es[i] = c.edges[(r + k - 1 - i) % k];
-    }
-    consider(ns, es);
-  }
-  if (canon_nodes != nullptr) *canon_nodes = best_nodes;
-  if (canon_edges != nullptr) *canon_edges = best_edges;
-  return best;
-}
-
-/// All simple cycles of length exactly k through v (each reported in both
-/// traversal directions; canonicalization collapses them).
-void enumerate_cycles_through(const Graph& g, NodeId v, int k,
-                              std::vector<Cycle>& out) {
-  out.clear();
+/// v's successor edge on C(v), the canonical minimum cycle through v, given
+/// scl(v) == k. Must directly follow the short_cycle_through for v on this
+/// thread that returned k.
+///
+/// The search enumerates the simple k-cycles through v by a depth-first
+/// search over v's ball of radius floor(k/2): every node of such a cycle
+/// lies in it, and a node farther out fails the `dist > k - (t+1)` test
+/// anyway (it is first reached at step t+1 >= dist > k - dist). For k >= 3
+/// that ball is the one short_cycle_through just grew: it holds every
+/// node within floor(k/2) of v at its exact distance, and whatever shell
+/// lies beyond is pruned by the same test. For k <= 2 no ball was grown, so
+/// the claim grows its own (v, and for k == 2 its neighbors).
+///
+/// A cycle's canonical sequence is the lexicographically smallest of its 2k
+/// rotations and reflections of [(id(node_i), key(edge_i))]: a property of
+/// the cycle alone, so every observer derives the same sequence and
+/// direction. Ids are distinct (ids_valid), so that minimum starts at the
+/// cycle's min-id node, and only the two directions from it compete: O(k)
+/// per closed cycle. C(v) is the first cycle found with the smallest
+/// sequence; each cycle is found once per direction, and both finds have
+/// the same sequence.
+EdgeId cycle_claim(const Graph& g, const IdMap& ids, NodeId v, int k) {
   PADLOCK_REQUIRE(k >= 1);
-  if (k == 1) {
-    for (int p = 0; p < g.degree(v); ++p) {
-      const HalfEdge h = g.incidence(v, p);
-      if (g.node_across(h) == v && h.side == 0)
-        out.push_back(Cycle{{v}, {h.edge}});
+  Ball& b = tl_ball;
+  if (k <= 2) {
+    fresh_ball(g);
+    b.node[v].dist = 0;
+    b.touched.push_back(v);
+    if (k == 2) {
+      for (const HalfEdge h : g.incident(v)) {
+        const NodeId w = g.node_across(h);
+        if (b.node[w].dist != -1) continue;
+        b.node[w].dist = 1;
+        b.touched.push_back(w);
+      }
     }
-    return;
   }
 
-  // BFS distances from v, for pruning. Every node of a simple k-cycle
-  // through v lies within floor(k/2) of v, and a node farther out fails the
-  // `dist > k - (t+1)` test below anyway (it is first reached at step
-  // t+1 >= dist > k - dist), so the search stops at that radius instead of
-  // covering the graph.
-  thread_local std::vector<int> dist;
-  thread_local std::vector<char> on_path;
-  thread_local std::vector<NodeId> touched;
-  if (dist.size() < g.num_nodes()) {
-    dist.assign(g.num_nodes(), -1);
-    on_path.assign(g.num_nodes(), 0);
-  }
-  // Clear the previous call's ball first, so a call cut short by the
-  // enumeration budget leaves no stale marks behind.
-  for (const NodeId t : touched) {
-    dist[t] = -1;
-    on_path[t] = 0;
-  }
-  touched.clear();
-  const int radius = k / 2;
-  dist[v] = 0;
-  touched.push_back(v);
-  for (std::size_t head = 0; head < touched.size(); ++head) {
-    const NodeId u = touched[head];
-    if (dist[u] >= radius) continue;
-    for (int p = 0; p < g.degree(u); ++p) {
-      const NodeId w = g.neighbor(u, p);
-      if (dist[w] != -1) continue;
-      dist[w] = dist[u] + 1;
-      touched.push_back(w);
+  b.path_nodes.assign(1, v);
+  b.path_edges.clear();
+  b.best.clear();
+  b.node[v].on_path = true;
+  EdgeId succ = kNoEdge;
+
+  // Offers the closed path (path_edges ends with the closing edge).
+  const auto offer = [&] {
+    const std::size_t len = b.path_nodes.size();
+    std::size_t m = 0;
+    for (std::size_t i = 1; i < len; ++i)
+      if (ids[b.path_nodes[i]] < ids[b.path_nodes[m]]) m = i;
+    // Step j of the traversal from m, forward or reflected.
+    const auto step = [&](bool fwd, std::size_t j) {
+      const std::size_t i = fwd ? (m + j) % len : (m + len - j) % len;
+      const EdgeId e = b.path_edges[fwd ? i : (i + len - 1) % len];
+      return std::pair{ids[b.path_nodes[i]], edge_key(g, ids, e)};
+    };
+    bool fwd = true;
+    for (std::size_t j = 0; j < len; ++j) {
+      const auto f = step(true, j);
+      const auto r = step(false, j);
+      if (f != r) {
+        fwd = f < r;
+        break;
+      }
     }
-  }
+    if (!b.best.empty()) {
+      std::size_t j = 0;
+      while (j < len && step(fwd, j) == b.best[j]) ++j;
+      if (j == len || b.best[j] < step(fwd, j)) return;  // not strictly <
+    }
+    b.best.clear();
+    for (std::size_t j = 0; j < len; ++j) b.best.push_back(step(fwd, j));
+    succ = fwd ? b.path_edges.front() : b.path_edges.back();
+  };
 
   std::size_t expansions = 0;
-  std::vector<NodeId> path_nodes{v};
-  std::vector<EdgeId> path_edges;
-  on_path[v] = 1;
-
-  auto dfs = [&](auto&& self, NodeId u, int t) -> void {
+  const auto dfs = [&](const auto& self, NodeId u, int t) -> void {
     PADLOCK_REQUIRE(++expansions < kEnumBudget);
-    for (int p = 0; p < g.degree(u); ++p) {
-      const HalfEdge h = g.incidence(u, p);
+    for (const HalfEdge h : g.incident(u)) {
       const NodeId w = g.node_across(h);
       if (t + 1 == k) {
-        // Closing step: must return to v via a fresh edge.
+        // Closing step: back to v via a fresh edge. The only path edge
+        // that can join u to v is the first one (when k == 2).
         if (w != v) continue;
-        if (!path_edges.empty() && path_edges.front() == h.edge) continue;
-        if (std::find(path_edges.begin(), path_edges.end(), h.edge) !=
-            path_edges.end())
-          continue;
-        Cycle c;
-        c.nodes = path_nodes;
-        c.edges = path_edges;
-        c.edges.push_back(h.edge);
-        out.push_back(std::move(c));
+        if (!b.path_edges.empty() && b.path_edges.front() == h.edge) continue;
+        b.path_edges.push_back(h.edge);
+        offer();
+        b.path_edges.pop_back();
         continue;
       }
       if (w == u) continue;  // self-loop cannot extend a longer cycle
-      if (on_path[w]) continue;
-      if (dist[w] == -1 || dist[w] > k - (t + 1)) continue;
-      path_nodes.push_back(w);
-      path_edges.push_back(h.edge);
-      on_path[w] = 1;
+      if (b.node[w].on_path) continue;
+      if (b.node[w].dist == -1 || b.node[w].dist > k - (t + 1)) continue;
+      b.path_nodes.push_back(w);
+      b.path_edges.push_back(h.edge);
+      b.node[w].on_path = true;
       self(self, w, t + 1);
-      on_path[w] = 0;
-      path_nodes.pop_back();
-      path_edges.pop_back();
+      b.node[w].on_path = false;
+      b.path_nodes.pop_back();
+      b.path_edges.pop_back();
     }
   };
   dfs(dfs, v, 0);
-}
-
-/// Canonical minimum short cycle through v (requires scl(v) == k known) and
-/// the successor edge of v along its canonical direction.
-EdgeId canonical_cycle_successor(const Graph& g, const IdMap& ids, NodeId v,
-                                 int k) {
-  std::vector<Cycle> cycles;
-  enumerate_cycles_through(g, v, k, cycles);
-  PADLOCK_REQUIRE(!cycles.empty());
-  CanonSeq best;
-  std::vector<NodeId> best_nodes;
-  std::vector<EdgeId> best_edges;
-  for (const Cycle& c : cycles) {
-    std::vector<NodeId> ns;
-    std::vector<EdgeId> es;
-    CanonSeq seq = canonical_sequence(g, ids, c, &ns, &es);
-    if (best.empty() || seq < best) {
-      best = std::move(seq);
-      best_nodes = std::move(ns);
-      best_edges = std::move(es);
-    }
-  }
-  // Successor edge of v in the canonical traversal.
-  for (std::size_t i = 0; i < best_nodes.size(); ++i)
-    if (best_nodes[i] == v) return best_edges[i];
-  PADLOCK_ASSERT(false);
-  return kNoEdge;
+  PADLOCK_REQUIRE(succ != kNoEdge);
+  return succ;
 }
 
 // ---- Claim computation -----------------------------------------------------
@@ -299,53 +273,21 @@ EdgeId canonical_cycle_successor(const Graph& g, const IdMap& ids, NodeId v,
 struct RuleTables {
   std::vector<int> scl;        // capped shortest cycle length; -1 if none
   std::vector<int> dist_t2;    // distance to T2 (0 for members)
+  std::vector<EdgeId> claim;   // out(v), or kNoEdge
   int budget = 0;
 };
 
 bool in_t(const RuleTables& t, NodeId v) { return t.scl[v] >= 0; }
 
-RuleTables build_tables(const Graph& g, std::size_t n_known) {
-  RuleTables t;
-  t.budget = sinkless_det_cycle_budget(n_known);
-  const auto n = g.num_nodes();
-  t.scl.assign(n, -1);
-  // A node whose edges are all bridges (no self-loop) lies on no cycle, so
-  // its search could only come back empty — on a tree, after visiting the
-  // whole budget-radius ball.
-  const EdgeMap<bool> bridge = find_bridges(g);
-  for (NodeId v = 0; v < n; ++v) {
-    bool on_cycle = false;
-    for (int p = 0; p < g.degree(v) && !on_cycle; ++p) {
-      const EdgeId e = g.incidence(v, p).edge;
-      on_cycle = g.is_self_loop(e) || !bridge[e];
-    }
-    if (!on_cycle) continue;
-    const auto c = short_cycle_through(g, v, t.budget);
-    if (c) t.scl[v] = *c;
-  }
-  std::vector<NodeId> sources;
-  for (NodeId v = 0; v < n; ++v)
-    if (t.scl[v] >= 0 || g.degree(v) <= 2) sources.push_back(v);
-  t.dist_t2.assign(n, kUnreachable);
-  if (!sources.empty()) {
-    const auto d = bfs_distances(g, sources);
-    for (NodeId v = 0; v < n; ++v) t.dist_t2[v] = d[v];
-  }
-  return t;
-}
-
-/// The edge v claims as its out-edge, or kNoEdge.
-EdgeId claim_of(const Graph& g, const IdMap& ids, const RuleTables& t,
-                NodeId v) {
-  if (g.degree(v) <= 2) return kNoEdge;
-  if (in_t(t, v)) return canonical_cycle_successor(g, ids, v, t.scl[v]);
-  // Toward T2: neighbor at distance dist-1, smallest id, then lowest port.
+/// out(v) for v ∉ T2: toward T2, the neighbor at distance dist-1 with the
+/// smallest id, then the lowest port.
+EdgeId claim_toward_t2(const Graph& g, const IdMap& ids, const RuleTables& t,
+                       NodeId v) {
   const int d = t.dist_t2[v];
   PADLOCK_REQUIRE(d != kUnreachable && d >= 1);
   EdgeId best = kNoEdge;
   std::uint64_t best_id = 0;
-  for (int p = 0; p < g.degree(v); ++p) {
-    const HalfEdge h = g.incidence(v, p);
+  for (const HalfEdge h : g.incident(v)) {
     const NodeId w = g.node_across(h);
     if (t.dist_t2[w] != d - 1) continue;
     if (best == kNoEdge || ids[w] < best_id) {
@@ -355,6 +297,53 @@ EdgeId claim_of(const Graph& g, const IdMap& ids, const RuleTables& t,
   }
   PADLOCK_ASSERT(best != kNoEdge);
   return best;
+}
+
+/// scl, dist_t2 and every node's claim. Each pooled iteration writes only
+/// its own node's slots.
+RuleTables build_tables(const Graph& g, const IdMap& ids,
+                        std::size_t n_known) {
+  RuleTables t;
+  t.budget = sinkless_det_cycle_budget(n_known);
+  const auto n = g.num_nodes();
+  t.scl.assign(n, -1);
+  t.claim.assign(n, kNoEdge);
+  // A node whose edges are all bridges (no self-loop) lies on no cycle, so
+  // its search could only come back empty — on a tree, after visiting the
+  // whole budget-radius ball.
+  const EdgeMap<bool> bridge = find_bridges(g);
+  // T membership and the claims of T's nodes: one ball per node. A node of
+  // degree <= 2 claims nothing and is in T2 either way, so its scl is never
+  // read.
+  parallel_for(0, n, kNodeGrain, [&](std::size_t begin, std::size_t end) {
+    for (auto v = static_cast<NodeId>(begin); v < end; ++v) {
+      if (g.degree(v) <= 2) continue;
+      bool on_cycle = false;
+      for (const HalfEdge h : g.incident(v)) {
+        on_cycle = g.is_self_loop(h.edge) || !bridge[h.edge];
+        if (on_cycle) break;
+      }
+      if (!on_cycle) continue;
+      const auto c = short_cycle_through(g, v, t.budget);
+      if (!c) continue;
+      t.scl[v] = *c;
+      t.claim[v] = cycle_claim(g, ids, v, *c);
+    }
+  });
+  std::vector<NodeId> sources;
+  for (NodeId v = 0; v < n; ++v)
+    if (t.scl[v] >= 0 || g.degree(v) <= 2) sources.push_back(v);
+  t.dist_t2.assign(n, kUnreachable);
+  if (!sources.empty()) {
+    const auto d = bfs_distances(g, sources);
+    for (NodeId v = 0; v < n; ++v) t.dist_t2[v] = d[v];
+  }
+  parallel_for(0, n, kNodeGrain, [&](std::size_t begin, std::size_t end) {
+    for (auto v = static_cast<NodeId>(begin); v < end; ++v)
+      if (g.degree(v) > 2 && !in_t(t, v))
+        t.claim[v] = claim_toward_t2(g, ids, t, v);
+  });
+  return t;
 }
 
 /// Certificate radius of v's claim (the ball it provably depends on).
@@ -399,22 +388,22 @@ SinklessDetResult sinkless_orientation_det(const Graph& g, const IdMap& ids,
                                            std::size_t n_known) {
   PADLOCK_REQUIRE(ids_valid(g, ids));
   PADLOCK_REQUIRE(n_known >= g.num_nodes());
-  const RuleTables t = build_tables(g, n_known);
-  std::vector<EdgeId> claim(g.num_nodes(), kNoEdge);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) claim[v] = claim_of(g, ids, t, v);
+  const RuleTables t = build_tables(g, ids, n_known);
 
   SinklessDetResult result;
-  result.tails = orient_from_claims(g, ids, claim);
+  result.tails = orient_from_claims(g, ids, t.claim);
 
   // Round accounting: a node decides the orientation of its own incident
   // edges, which requires its own and all neighbors' certificates.
   NodeMap<int> per_node(g, 0);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    int r = certificate_radius(g, t, v);
-    for (int p = 0; p < g.degree(v); ++p)
-      r = std::max(r, certificate_radius(g, t, g.neighbor(v, p)));
-    per_node[v] = r + 1;
-  }
+  parallel_for(0, g.num_nodes(), kNodeGrain, [&](std::size_t b, std::size_t e) {
+    for (auto v = static_cast<NodeId>(b); v < e; ++v) {
+      int r = certificate_radius(g, t, v);
+      for (const HalfEdge h : g.incident(v))
+        r = std::max(r, certificate_radius(g, t, g.node_across(h)));
+      per_node[v] = r + 1;
+    }
+  });
   result.report = RoundReport::from(std::move(per_node));
   return result;
 }
@@ -422,14 +411,15 @@ SinklessDetResult sinkless_orientation_det(const Graph& g, const IdMap& ids,
 int sinkless_det_edge_rule(const Graph& g, const IdMap& ids,
                            std::size_t n_known, EdgeId e) {
   PADLOCK_REQUIRE(e < g.num_edges());
-  const RuleTables t = build_tables(g, n_known);
+  PADLOCK_REQUIRE(ids_valid(g, ids));
+  const RuleTables t = build_tables(g, ids, n_known);
   const auto [u, w] = g.endpoints(e);
   if (g.is_self_loop(e)) {
     // Claimed or not, a self-loop is oriented side0 -> side1.
     return 0;
   }
-  if (claim_of(g, ids, t, u) == e) return 0;
-  if (claim_of(g, ids, t, w) == e) return 1;
+  if (t.claim[u] == e) return 0;
+  if (t.claim[w] == e) return 1;
   return ids[u] > ids[w] ? 0 : 1;
 }
 

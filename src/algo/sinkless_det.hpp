@@ -33,14 +33,16 @@
 // the per-node certificate radius is reported for round accounting, and
 // tests audit it by re-running the rule on extracted balls.
 //
-// Cost. T membership is one BFS per node, out to radius L/2 or until no
-// shorter cycle through the node is possible; where no short cycle exists
-// (trees) it runs to the full radius. The claim of a node v ∈ T enumerates
-// the length-scl(v) cycles through v inside the ball of radius ⌊scl(v)/2⌋
-// around v (every node of such a cycle lies in that ball), so it pays for
-// that ball plus a depth-first search capped at a fixed expansion budget,
-// never for the whole graph. All scratch is flat per-thread arrays reset
-// from touched lists.
+// Cost. Each node of degree >= 3 that lies on a cycle (a non-bridge edge or
+// a self-loop) pays for one BFS ball: out to radius L/2, or until no
+// shorter cycle through it is possible. When that BFS finds scl(v) >= 3,
+// v's claim reuses the same ball: a depth-first search enumerates the
+// length-scl(v) cycles through v inside radius ⌊scl(v)/2⌋ (every node of
+// such a cycle lies there), capped at a fixed expansion budget, and
+// canonicalises each closed cycle in O(scl(v)) without allocating. The
+// per-node loops run through parallel_for; all scratch is one flat
+// per-thread ball, cleared from its touched list at the start of every
+// search.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +75,9 @@ int sinkless_det_edge_rule(const Graph& g, const IdMap& ids,
                            std::size_t n_known, EdgeId e);
 
 /// Exposed for tests: shortest simple cycle through v of length <= budget
-/// (exact; via BFS with root-subtree labels), nullopt if none.
+/// (exact; via BFS with root-subtree labels), nullopt if none. v's own ports
+/// are scanned first, in port order: a self-loop reports 1 and a second
+/// edge to one neighbor reports 2 (budget >= 2), whichever comes first.
 std::optional<int> short_cycle_through(const Graph& g, NodeId v, int budget);
 
 class AlgorithmRegistry;

@@ -61,6 +61,30 @@ TEST_F(DeterminismTest, EveryRegisteredPairSerialEqualsParallel) {
   }
 }
 
+TEST_F(DeterminismTest, ShortCycleDetSerialEqualsParallelAboveGrain) {
+  // At 2^12 nodes short-cycle-det's per-node loops (shortest cycle and
+  // claim, claims toward T2, certificate radii) split into many chunks at
+  // threads=4, so each pooled write path runs concurrently.
+  const AlgorithmRegistry& reg = AlgorithmRegistry::instance();
+  const ProblemSpec& problem = reg.problem("sinkless-orientation");
+  const AlgoSpec& algo = reg.algo("sinkless-orientation", "short-cycle-det");
+  for (const std::string family : {"regular", "bounded"}) {
+    const Graph g = build::family(family, 4096, 3, 9);
+    RunOptions opts;
+    opts.seed = 9;
+    exec_context().threads = 1;
+    const SolveOutcome serial = run(problem, algo, g, opts);
+    exec_context().threads = 4;
+    const SolveOutcome parallel = run(problem, algo, g, opts);
+
+    SCOPED_TRACE(family);
+    EXPECT_TRUE(serial.verification.ok);
+    EXPECT_TRUE(serial.output == parallel.output);
+    EXPECT_TRUE(serial.rounds == parallel.rounds);  // per-node rounds too
+    EXPECT_EQ(serial.stats.entries, parallel.stats.entries);
+  }
+}
+
 TEST_F(DeterminismTest, GatherEngineSerialEqualsParallel) {
   const Graph g = build::random_regular_simple(200, 3, 5);
   NodeMap<int> out_serial(g, 0), out_parallel(g, 0);

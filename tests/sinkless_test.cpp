@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "algo/sinkless_det.hpp"
 #include "algo/sinkless_rand.hpp"
 #include "graph/builders.hpp"
 #include "graph/metrics.hpp"
 #include "graph/subgraph.hpp"
 #include "lcl/problems/sinkless_orientation.hpp"
+#include "support/thread_pool.hpp"
 
 namespace padlock {
 namespace {
@@ -43,6 +51,23 @@ TEST(ShortCycle, SelfLoopAndParallel) {
   Graph g = std::move(b).build();
   EXPECT_EQ(short_cycle_through(g, 0, 10), 1);
   EXPECT_EQ(short_cycle_through(g, 1, 10), 2);
+}
+
+TEST(ShortCycle, ParallelPairBeforeSelfLoopReportsTwo) {
+  // Node 0: a parallel pair to node 1 at ports 0-1, a self-loop at ports
+  // 2-3. The ports are scanned in order, so the pair is seen first.
+  GraphBuilder b;
+  b.add_nodes(2);
+  b.add_edge(0, 1);
+  b.add_edge(0, 1);
+  b.add_edge(0, 0);
+  Graph g = std::move(b).build();
+  ASSERT_EQ(g.neighbor(0, 0), 1u);
+  ASSERT_EQ(g.neighbor(0, 1), 1u);
+  ASSERT_EQ(g.neighbor(0, 2), 0u);
+  ASSERT_EQ(g.neighbor(0, 3), 0u);
+  EXPECT_EQ(short_cycle_through(g, 0, 10), 2);
+  EXPECT_EQ(short_cycle_through(g, 0, 1), 1);  // no length 2 within budget 1
 }
 
 TEST(ShortCycle, MatchesBruteForceOnTorus) {
@@ -185,6 +210,235 @@ TEST(SinklessDet, EdgeRuleMatchesBatchOnFullGraph) {
   const auto res = sinkless_orientation_det(g, ids, 32);
   for (EdgeId e = 0; e < g.num_edges(); ++e)
     EXPECT_EQ(sinkless_det_edge_rule(g, ids, 32, e), res.tails[e]) << e;
+}
+
+// ---- Brute-force oracle for the whole rule ----------------------------------
+
+// The rule of sinkless_det.hpp rebuilt without its shortcuts: no ball, no
+// distance pruning, and every simple cycle through v no longer than the
+// best so far is canonicalised by trying all 2k rotations and reflections.
+using CanonSeq = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+std::uint64_t oracle_edge_key(const Graph& g, const IdMap& ids, EdgeId e) {
+  const auto [a, b] = g.endpoints(e);
+  int pa = g.port_of(HalfEdge{e, 0});
+  int pb = g.port_of(HalfEdge{e, 1});
+  if (a == b ? pa > pb : ids[a] > ids[b]) std::swap(pa, pb);
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(pa)) << 32) |
+         static_cast<std::uint32_t>(pb);
+}
+
+struct OracleCycle {
+  int length = 0;  // 0: no cycle through v within the budget
+  CanonSeq seq;
+  EdgeId succ = kNoEdge;  // v's successor edge in the canonical direction
+};
+
+// The (length, canonical sequence)-minimal simple cycle through v.
+OracleCycle oracle_min_cycle(const Graph& g, const IdMap& ids, NodeId v,
+                             int budget) {
+  OracleCycle best;
+  std::vector<NodeId> nodes{v};
+  std::vector<EdgeId> edges;  // edges[i] joins nodes[i] and nodes[i+1 mod k]
+  const auto offer = [&] {
+    const std::size_t k = nodes.size();
+    if (best.length > 0 && static_cast<int>(k) > best.length) return;
+    for (std::size_t r = 0; r < k; ++r) {
+      for (const bool fwd : {true, false}) {
+        CanonSeq seq;
+        EdgeId at_v = kNoEdge;
+        for (std::size_t i = 0; i < k; ++i) {
+          const std::size_t ni = fwd ? (r + i) % k : (r + k - i) % k;
+          const std::size_t ei = fwd ? ni : (ni + k - 1) % k;
+          seq.emplace_back(ids[nodes[ni]], oracle_edge_key(g, ids, edges[ei]));
+          if (nodes[ni] == v) at_v = edges[ei];
+        }
+        const int len = static_cast<int>(k);
+        if (best.length == 0 || len < best.length ||
+            (len == best.length && seq < best.seq)) {
+          best = {len, std::move(seq), at_v};
+        }
+      }
+    }
+  };
+  const auto extend = [&](const auto& self, NodeId u) -> void {
+    for (const HalfEdge h : g.incident(u)) {
+      if (std::find(edges.begin(), edges.end(), h.edge) != edges.end())
+        continue;
+      const NodeId w = g.node_across(h);
+      if (w == v) {
+        edges.push_back(h.edge);
+        offer();
+        edges.pop_back();
+        continue;
+      }
+      // A longer path can only close a longer cycle than the best so far.
+      const int cap = best.length > 0 ? best.length : budget;
+      if (static_cast<int>(nodes.size()) >= cap) continue;
+      if (std::find(nodes.begin(), nodes.end(), w) != nodes.end()) continue;
+      nodes.push_back(w);
+      edges.push_back(h.edge);
+      self(self, w);
+      nodes.pop_back();
+      edges.pop_back();
+    }
+  };
+  extend(extend, v);
+  return best;
+}
+
+Orientation oracle_orientation(const Graph& g, const IdMap& ids) {
+  const std::size_t n = g.num_nodes();
+  const int budget = sinkless_det_cycle_budget(n);
+  std::vector<OracleCycle> cyc(n);
+  std::vector<NodeId> t2;
+  for (NodeId v = 0; v < n; ++v) {
+    cyc[v] = oracle_min_cycle(g, ids, v, budget);
+    if (cyc[v].length > 0 || g.degree(v) <= 2) t2.push_back(v);
+  }
+  const auto dist = bfs_distances(g, t2);
+  std::vector<EdgeId> claim(n, kNoEdge);
+  for (NodeId v = 0; v < n; ++v) {
+    if (g.degree(v) <= 2) continue;
+    if (cyc[v].length > 0) {
+      claim[v] = cyc[v].succ;
+      continue;
+    }
+    std::optional<std::uint64_t> best_id;
+    for (const HalfEdge h : g.incident(v)) {
+      const NodeId w = g.node_across(h);
+      if (dist[w] != dist[v] - 1) continue;
+      if (!best_id || ids[w] < *best_id) {
+        best_id = ids[w];
+        claim[v] = h.edge;
+      }
+    }
+  }
+  Orientation tails(g, 0);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto [a, b] = g.endpoints(e);
+    tails[e] = ids[a] > ids[b] ? 0 : 1;
+    if (a == b || claim[a] == e) tails[e] = 0;
+    else if (claim[b] == e) tails[e] = 1;
+  }
+  return tails;
+}
+
+bool has_self_loop_and_parallel_pair(const Graph& g) {
+  bool loop = false;
+  bool pair = false;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (int p = 0; p < g.degree(v); ++p) {
+      const NodeId w = g.neighbor(v, p);
+      loop = loop || w == v;
+      for (int q = 0; q < p; ++q)
+        pair = pair || (w != v && g.neighbor(v, q) == w);
+    }
+  }
+  return loop && pair;
+}
+
+TEST(SinklessDet, CanonicalCyclesMatchBruteForceOracle) {
+  // Many tied shortest cycles (torus), loops and parallels (configuration
+  // model), and a plain random cubic graph, each under three id orders.
+  std::optional<Graph> multi;
+  for (std::uint64_t seed = 1; seed <= 64 && !multi; ++seed) {
+    Graph g = build::random_regular(16, 4, seed);
+    if (has_self_loop_and_parallel_pair(g)) multi = std::move(g);
+  }
+  ASSERT_TRUE(multi.has_value());
+  const std::vector<std::pair<std::string, Graph>> graphs = {
+      {"torus(4,4)", build::torus(4, 4)},
+      {"multigraph", *multi},
+      {"cubic", build::random_regular_simple(48, 3, 11)}};
+  for (const auto& [name, g] : graphs) {
+    const std::vector<std::pair<std::string, IdMap>> id_sets = {
+        {"sequential", sequential_ids(g)},
+        {"shuffled", shuffled_ids(g, 7)},
+        {"adversarial", bfs_adversarial_ids(g)}};
+    for (const auto& [id_name, ids] : id_sets) {
+      SCOPED_TRACE(name + " / " + id_name);
+      const auto res = sinkless_orientation_det(g, ids, g.num_nodes());
+      EXPECT_TRUE(res.tails == oracle_orientation(g, ids));
+      EXPECT_TRUE(is_sinkless(g, res.tails));
+    }
+  }
+}
+
+// All searches of one thread share one scratch ball, cleared at the start
+// of every search. Interleaving graphs of different sizes, single-node
+// searches and a search cut short by the enumeration budget must not
+// change any result.
+TEST(SinklessDet, SharedScratchResetsAtEverySearch) {
+  struct SerialScope {
+    ExecContext saved = exec_context();
+    SerialScope() { exec_context().threads = 1; }
+    ~SerialScope() { exec_context() = saved; }
+  } serial;  // every loop runs on the calling thread
+
+  const Graph big = build::random_regular_simple(4096, 3, 5);
+  const Graph small = build::random_regular(64, 3, 6);
+  const IdMap big_ids = shuffled_ids(big, 5);
+  const IdMap small_ids = shuffled_ids(small, 6);
+  const int big_budget = sinkless_det_cycle_budget(big.num_nodes());
+
+  // A hub joined to 1500 spokes, each joined to the same two nodes: the
+  // hub has millions of 4-cycles, so its claim hits the enumeration budget
+  // halfway through the search.
+  GraphBuilder hb;
+  hb.add_nodes(1503);
+  for (NodeId a = 1; a <= 1500; ++a) {
+    hb.add_edge(0, a);
+    hb.add_edge(a, 1501);
+    hb.add_edge(a, 1502);
+  }
+  const Graph hub = std::move(hb).build();
+  const IdMap hub_ids = sequential_ids(hub);
+
+  const auto on_fresh_thread = [](const auto& fn) {
+    std::optional<decltype(fn())> out;
+    std::thread([&] { out = fn(); }).join();
+    return *out;
+  };
+  const auto det = [](const Graph& g, const IdMap& ids) {
+    return [&g, &ids] {
+      return sinkless_orientation_det(g, ids, g.num_nodes());
+    };
+  };
+  const auto cycle = [](const Graph& g, NodeId v, int budget) {
+    return [&g, v, budget] { return short_cycle_through(g, v, budget); };
+  };
+  const SinklessDetResult big_ref = on_fresh_thread(det(big, big_ids));
+  const SinklessDetResult small_ref = on_fresh_thread(det(small, small_ids));
+  const auto expect_det = [&](const Graph& g, const IdMap& ids,
+                              const SinklessDetResult& ref) {
+    const SinklessDetResult r = det(g, ids)();
+    EXPECT_TRUE(r.tails == ref.tails);
+    EXPECT_TRUE(r.report == ref.report);
+  };
+  const auto expect_cycle = [&](const Graph& g, NodeId v, int budget) {
+    EXPECT_EQ(cycle(g, v, budget)(), on_fresh_thread(cycle(g, v, budget)))
+        << "node " << v;
+  };
+
+  expect_det(big, big_ids, big_ref);
+  expect_cycle(big, 17, big_budget);
+  expect_det(small, small_ids, small_ref);
+  for (NodeId v = 0; v < small.num_nodes(); ++v) expect_cycle(small, v, 3);
+  expect_det(big, big_ids, big_ref);
+  expect_cycle(small, 5, 12);
+
+  try {
+    (void)det(hub, hub_ids)();
+    ADD_FAILURE() << "the hub's claim did not hit the enumeration budget";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("kEnumBudget"), std::string::npos)
+        << e.what();
+  }
+  expect_cycle(hub, 7, 4);
+  expect_det(small, small_ids, small_ref);
+  expect_det(big, big_ids, big_ref);
+  expect_cycle(big, 4095, big_budget);
 }
 
 // ---- Randomized algorithm ---------------------------------------------------------
