@@ -7,9 +7,10 @@
 // rounds ≈ T_det(base) · stretch(gadget) + V: the product of two factors
 // whose logs sum to log N is maximized at the balanced split — up to
 // additive constants in T_det, which at bench sizes nudge the measured
-// peak slightly below beta = 1/2 (see EXPERIMENTS.md). Batched since the
-// ExecutionPlan refactor: each height is one scenario task executed across
-// the thread pool.
+// peak slightly below beta = 1/2: with x = log(base), L = log N and
+// T_det = c·x + a, the product (c·x + a)·(L − x) peaks at
+// x = L/2 − a/(2c). Batched since the ExecutionPlan refactor: each height
+// is one scenario task executed across the thread pool.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>

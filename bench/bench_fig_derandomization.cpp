@@ -1,7 +1,7 @@
-// E9 (extension of E6) — the derandomization transform behind the
-// Discussion's equation D(n) = O(R(n)·ND(n) + R(n)·log² n) (Ghaffari,
-// Harris, Kuhn FOCS 2018), made executable: solve MIS and (Δ+1)-coloring
-// deterministically by sweeping a network decomposition's color classes.
+// E9 — the derandomization transform behind the Discussion's equation
+// D(n) = O(R(n)·ND(n) + R(n)·log² n) (Ghaffari, Harris, Kuhn FOCS 2018),
+// made executable: solve MIS and (Δ+1)-coloring deterministically by
+// sweeping a network decomposition's color classes.
 //
 // Three decomposition sources are compared:
 //   * Linial–Saks randomized (O(log n), O(log n)) — the baseline R-side;
@@ -54,7 +54,7 @@ struct RulingResult {
 int main(int argc, char** argv) {
   set_threads_from_args(argc, argv);  // default: all cores
 
-  const int a_min = 8, a_max = 12;
+  const int a_min = 8, a_max = 13;
   const int b_min = 8, b_max = 14;
   std::vector<SweepPair> sweeps(static_cast<std::size_t>(a_max - a_min) + 1);
   std::vector<RulingResult> rulings(static_cast<std::size_t>(b_max - b_min) +

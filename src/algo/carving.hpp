@@ -9,8 +9,8 @@
 // colors — but whose honest LOCAL round count is far from competitive
 // (carvings within a phase are sequential). That gap — decomposition
 // quality is easy, decomposition *locality* is the bottleneck — is exactly
-// the phenomenon the Discussion describes, and bench E6 prints both this
-// reference and the randomized Linial–Saks algorithm side by side.
+// the phenomenon the Discussion describes, and bench E9's table (a) prints
+// both this reference and the randomized Linial–Saks algorithm side by side.
 //
 // Phase c: repeatedly pick the lowest-id unclustered node still in the
 // phase, grow a ball inside the phase-induced subgraph while it at least

@@ -164,22 +164,30 @@ void register_color_reduce_algos(AlgorithmRegistry& r) {
       .problem = "coloring",
       .determinism = Determinism::kDeterministic,
       .complexity = "O(id_space) -- the trivial linear baseline",
-      .requires_text = "loop-free graphs",
+      .requires_text = "loop-free graphs; ids at most 2^31 - 1 (sparse ids "
+                       "exceed it from about 1,291 nodes)",
       .precondition = graph_loop_free,
       .solve =
           [](const RunContext& ctx) {
             // Unique ids are a proper coloring of any loop-free graph; the
             // schedule-by-class reduction then pays one round per initial
             // color -- the linear-in-id-space baseline of the landscape.
-            NodeMap<int> initial(ctx.graph, 0);
-            int num_colors = 0;
-            for (NodeId v = 0; v < ctx.graph.num_nodes(); ++v) {
-              PADLOCK_REQUIRE(ctx.ids[v] <=
-                              static_cast<std::uint64_t>(
-                                  std::numeric_limits<int>::max()));
-              initial[v] = static_cast<int>(ctx.ids[v]);
-              num_colors = std::max(num_colors, initial[v]);
+            // Colors are ints, so the largest id must fit one.
+            constexpr std::uint64_t kMaxId = std::numeric_limits<int>::max();
+            std::uint64_t max_id = 0;
+            for (NodeId v = 0; v < ctx.graph.num_nodes(); ++v)
+              max_id = std::max(max_id, ctx.ids[v]);
+            if (max_id > kMaxId) {
+              throw RegistryError(
+                  "coloring/color-reduce needs ids at most 2^31 - 1 = " +
+                  std::to_string(kMaxId) + ", got id " +
+                  std::to_string(max_id) +
+                  " (sparse ids exceed the bound from about 1,291 nodes)");
             }
+            NodeMap<int> initial(ctx.graph, 0);
+            for (NodeId v = 0; v < ctx.graph.num_nodes(); ++v)
+              initial[v] = static_cast<int>(ctx.ids[v]);
+            const int num_colors = static_cast<int>(max_id);
             MessageEngineStats es;
             const auto res = reduce_to_degree_plus_one(ctx.graph, initial,
                                                        num_colors, &es);

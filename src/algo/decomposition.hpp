@@ -2,7 +2,8 @@
 //
 // The paper's Discussion connects the open D(n)/R(n) gap to the complexity
 // of computing (log n, log n)-network decompositions deterministically;
-// bench E6 measures this randomized baseline next to the Π_i hierarchy.
+// bench E9 measures this randomized baseline (its rand-LS rows), and bench
+// E4 prints the D/R of the Π_i hierarchy it is compared against.
 //
 // Per phase, every live node draws a radius r_v ~ min(Geom(1/2), B) with
 // B = O(log n) and broadcasts a claim over its radius-r_v ball; a live node

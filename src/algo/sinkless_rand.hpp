@@ -2,10 +2,11 @@
 // separation (randomized Θ(log log n) vs deterministic Θ(log n)).
 //
 // The Θ(log log n) algorithm the paper cites (Ghaffari–Su 2017) rests on
-// distributed degree splitting and the algorithmic Lovász local lemma; per
-// DESIGN.md we substitute a shattering-style algorithm that preserves the
-// qualitative behavior (round counts far below the deterministic Θ(log n),
-// growing like poly(log log n) on the bench instances):
+// distributed degree splitting and the algorithmic Lovász local lemma. We
+// substitute a shattering-style algorithm that needs neither primitive and
+// preserves the qualitative behavior (round counts far below the
+// deterministic Θ(log n), growing like poly(log log n) on the bench
+// instances):
 //
 //   Phase 1   One communication round: every edge orients toward the
 //             endpoint half with the larger random priority (both endpoints

@@ -59,9 +59,4 @@ GraphCacheStats GraphCache::stats() const {
   return stats_;
 }
 
-void GraphCache::reset_stats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_ = {};
-}
-
 }  // namespace padlock

@@ -56,7 +56,6 @@ class GraphCache {
   void clear();
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] GraphCacheStats stats() const;
-  void reset_stats();
 
   /// FIFO eviction threshold: inserting entry kCapacity + 1 evicts the
   /// oldest one (outstanding shared_ptrs to it stay valid).

@@ -238,8 +238,10 @@ InnerSolveResult solve_level(int level, const PaddedInstance& inst,
   }
   // The structured Π' output of this level is summarized for the layer
   // above: a level-(i) node's "output label" seen by level i+1 is the
-  // Σ_list digest. Round accounting is exact; see DESIGN.md on output
-  // flattening across three and more levels.
+  // Σ_list digest. Round accounting is exact, but the output is flattened:
+  // the layer above sees only this digest, not the full structured Π'
+  // output, so with three or more levels the inner levels' outputs are not
+  // checked end to end (the leaf's sinkless check is).
   InnerSolveResult out;
   out.rounds = res.report.rounds;
   out.output = NeLabeling(inst.graph);

@@ -103,11 +103,6 @@ bool AlgorithmRegistry::has_problem(const std::string& name) const {
   return problems_.count(name) == 1;
 }
 
-bool AlgorithmRegistry::has_algo(const std::string& problem,
-                                 const std::string& name) const {
-  return algos_.count(std::make_pair(problem, name)) == 1;
-}
-
 std::vector<const ProblemSpec*> AlgorithmRegistry::problems() const {
   std::vector<const ProblemSpec*> out;
   out.reserve(problems_.size());

@@ -21,7 +21,7 @@
 // Adding a scenario is now a single registration: implement the solver,
 // call `register_algo` (and `register_problem` if the problem is new) from
 // your module's `register_*_algos` hook — or, for out-of-tree extensions,
-// instantiate a `Registrar` at namespace scope.
+// on `AlgorithmRegistry::instance()` before the first run.
 #pragma once
 
 #include <cstdint>
@@ -137,8 +137,6 @@ class AlgorithmRegistry {
                                      const std::string& name) const;
 
   [[nodiscard]] bool has_problem(const std::string& name) const;
-  [[nodiscard]] bool has_algo(const std::string& problem,
-                              const std::string& name) const;
 
   /// All problems, sorted by name.
   [[nodiscard]] std::vector<const ProblemSpec*> problems() const;
@@ -158,23 +156,6 @@ class AlgorithmRegistry {
  private:
   std::map<std::string, ProblemSpec> problems_;
   std::map<std::pair<std::string, std::string>, AlgoSpec> algos_;
-};
-
-/// RAII registrar for namespace-scope self-registration of out-of-tree
-/// extensions:
-///
-///   static padlock::Registrar my_algo([](AlgorithmRegistry& r) {
-///     r.register_algo({...});
-///   });
-///
-/// Built-in modules instead expose `register_*_algos(AlgorithmRegistry&)`
-/// hooks called from the registry bootstrap (core/builtin.cpp), which is
-/// immune to static-library dead-stripping.
-class Registrar {
- public:
-  explicit Registrar(const std::function<void(AlgorithmRegistry&)>& fn) {
-    fn(AlgorithmRegistry::instance());
-  }
 };
 
 // ---- common graph-class preconditions --------------------------------------

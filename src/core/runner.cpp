@@ -34,6 +34,38 @@ std::uint64_t default_id_space(const Graph& g, IdStrategy strategy) {
   return strategy == IdStrategy::kSparse ? sparse_id_space(n) : n;
 }
 
+// Input, solve and verification of one run whose pair, precondition and ids
+// the caller has already checked.
+SolveOutcome solve_and_verify(const ProblemSpec& problem,
+                              const AlgoSpec& algo, const Graph& g,
+                              const IdMap& ids, std::uint64_t id_space,
+                              const RunOptions& opts) {
+  const NeLabeling input =
+      problem.make_input ? problem.make_input(g) : NeLabeling(g);
+  const RunContext ctx{.graph = g,
+                       .ids = ids,
+                       .id_space = id_space,
+                       .seed = opts.seed,
+                       .input = input};
+  AlgoResult result = algo.solve(ctx);
+
+  SolveOutcome outcome{.output = std::move(result.output),
+                       .rounds = std::move(result.rounds),
+                       .stats = std::move(result.stats),
+                       .verification = {}};
+  if (opts.check) {
+    if (problem.check) {
+      outcome.verification =
+          problem.check(g, input, outcome.output, opts.max_violations);
+    } else {
+      const auto lcl = problem.make_lcl(g);
+      outcome.verification =
+          check_ne_lcl(g, *lcl, input, outcome.output, opts.max_violations);
+    }
+  }
+  return outcome;
+}
+
 }  // namespace
 
 std::string_view id_strategy_name(IdStrategy s) {
@@ -75,31 +107,7 @@ SolveOutcome run_with_ids(const ProblemSpec& problem, const AlgoSpec& algo,
     throw RegistryError(msg.str());
   }
   PADLOCK_REQUIRE(ids_valid(g, ids));
-
-  const NeLabeling input =
-      problem.make_input ? problem.make_input(g) : NeLabeling(g);
-  const RunContext ctx{.graph = g,
-                       .ids = ids,
-                       .id_space = id_space,
-                       .seed = opts.seed,
-                       .input = input};
-  AlgoResult result = algo.solve(ctx);
-
-  SolveOutcome outcome{.output = std::move(result.output),
-                       .rounds = std::move(result.rounds),
-                       .stats = std::move(result.stats),
-                       .verification = {}};
-  if (opts.check) {
-    if (problem.check) {
-      outcome.verification =
-          problem.check(g, input, outcome.output, opts.max_violations);
-    } else {
-      const auto lcl = problem.make_lcl(g);
-      outcome.verification =
-          check_ne_lcl(g, *lcl, input, outcome.output, opts.max_violations);
-    }
-  }
-  return outcome;
+  return solve_and_verify(problem, algo, g, ids, id_space, opts);
 }
 
 SolveOutcome run(const ProblemSpec& problem, const AlgoSpec& algo,
@@ -402,9 +410,15 @@ SweepOutcome run_batch(const ExecutionPlan& plan) {
               for (int r = 0; r < plan.repeat; ++r) {
                 RunOptions opts = plan.options;
                 opts.seed += static_cast<std::uint64_t>(r);
+                // The pair resolved through the registry and the
+                // precondition passed above; only the fresh ids are left
+                // to check.
                 const auto t0 = Clock::now();
-                const SolveOutcome solved = run(*pair.problem, *pair.algo, g,
-                                                opts);
+                const IdMap ids = make_ids(g, opts.ids, opts.seed);
+                PADLOCK_REQUIRE(ids_valid(g, ids));
+                const SolveOutcome solved =
+                    solve_and_verify(*pair.problem, *pair.algo, g, ids,
+                                  default_id_space(g, opts.ids), opts);
                 times.push_back(elapsed_ns(t0));
                 // rounds/stats come from the first *verified* repeat, so a
                 // failed repeat 0 cannot masquerade as the reported result.

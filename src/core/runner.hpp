@@ -202,7 +202,8 @@ int finish_bench(const SweepOutcome& outcome, const std::string& label);
 /// GraphCache (one build per distinct canonical spec, shared across rows,
 /// repeats, threads, and earlier batches); runs are dispatched through the
 /// thread pool at single-run granularity. The rows are bit-identical for
-/// every thread count.
+/// every thread count. A row checks its pair's precondition once, whatever
+/// its repeat count; each repeat validates the ids it generates.
 ///
 /// Failure is row-scoped: an unknown pair name, a graph family that fails
 /// to build, a throwing solver, or a contract violation poisons exactly the

@@ -34,7 +34,8 @@
 //        differing from the node's own color proves the walk does not
 //        return (colors are unique within distance 4). This replaces the
 //        paper's colored letter chains (Fig. 8) with an equivalent
-//        constant-size certificate; see DESIGN.md.
+//        constant-size certificate: six claims per node, each pinned by
+//        one edge constraint, instead of letters threaded along the walk.
 //
 //  * label masks — every node publishes a tri-state count (0 / 1 / 2+) of
 //    each structure label among its halves, re-checked by its node

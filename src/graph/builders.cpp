@@ -584,21 +584,6 @@ FamilyKey canonical_key(const std::string& name, std::size_t n, int degree,
   return {name, n, degree, seed};
 }
 
-std::vector<std::size_t> size_ramp(std::size_t lo, std::size_t hi,
-                                   double factor) {
-  PADLOCK_REQUIRE(lo >= 1);
-  PADLOCK_REQUIRE(factor > 1.0);
-  std::vector<std::size_t> sizes;
-  double x = static_cast<double>(lo);
-  while (static_cast<std::size_t>(x) <= hi) {
-    const auto s = static_cast<std::size_t>(x);
-    if (sizes.empty() || s != sizes.back()) sizes.push_back(s);
-    x *= factor;
-  }
-  if (sizes.empty()) sizes.push_back(lo);
-  return sizes;
-}
-
 Graph random_bounded_degree_simple(std::size_t n, int max_deg, double density,
                                    std::uint64_t seed) {
   PADLOCK_REQUIRE(n >= 1);

@@ -140,10 +140,4 @@ struct FamilyKey {
 [[nodiscard]] FamilyKey canonical_key(const std::string& name, std::size_t n,
                                       int degree, std::uint64_t seed);
 
-/// Geometric size ramp for sweeps: lo, lo*factor, ... while <= hi (always
-/// contains lo; factor > 1).
-[[nodiscard]] std::vector<std::size_t> size_ramp(std::size_t lo,
-                                                 std::size_t hi,
-                                                 double factor = 2.0);
-
 }  // namespace padlock::build

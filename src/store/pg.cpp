@@ -1,6 +1,10 @@
 #include "store/pg.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <type_traits>
@@ -186,16 +190,34 @@ void write_pg(const std::string& path, const Graph& g) {
   }
   h.checksum = fnv1a_words(payload.data(), payload.size());
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.good()) {
-    const std::string msg = "cannot write .pg file '" + path + "'";
+  // Write a sibling temporary, then rename it over `path` in one step. A
+  // Graph loaded from the old file keeps its mapping of the old inode;
+  // truncating the file in place would make its next read fault (SIGBUS).
+  static std::atomic<std::uint64_t> temp_counter{0};
+  const std::string temp = path + ".tmp" + std::to_string(::getpid()) + "." +
+                           std::to_string(temp_counter.fetch_add(1));
+  std::error_code ignored;
+  {
+    std::ofstream out(temp, std::ios::binary | std::ios::trunc);
+    if (!out.good()) {
+      const std::string msg = "cannot write .pg file '" + path + "'";
+      contract_failure("store", msg.c_str(), __FILE__, __LINE__);
+    }
+    out.write(reinterpret_cast<const char*>(&h), sizeof(h));
+    out.write(reinterpret_cast<const char*>(payload.data()),
+              static_cast<std::streamsize>(payload.size()));
+    out.close();
+    if (out.fail()) std::filesystem::remove(temp, ignored);
+    PG_CHECK(!out.fail(), "short write while emitting the .pg payload");
+  }
+  std::error_code ec;
+  std::filesystem::rename(temp, path, ec);
+  if (ec) {
+    std::filesystem::remove(temp, ignored);
+    const std::string msg =
+        "cannot replace .pg file '" + path + "': " + ec.message();
     contract_failure("store", msg.c_str(), __FILE__, __LINE__);
   }
-  out.write(reinterpret_cast<const char*>(&h), sizeof(h));
-  out.write(reinterpret_cast<const char*>(payload.data()),
-            static_cast<std::streamsize>(payload.size()));
-  out.flush();
-  PG_CHECK(out.good(), "short write while emitting the .pg payload");
 }
 
 bool sniff_pg(const std::string& path) {

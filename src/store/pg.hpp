@@ -60,7 +60,8 @@ struct PgInfo {
 
 /// Writes `g` to `path` in `.pg` format (EDGES + CSR sections + checksum).
 /// Accepts any Graph — builder order is preserved exactly, so a later
-/// mmap load reproduces `g` bit for bit.
+/// mmap load reproduces `g` bit for bit. An existing file is replaced in one
+/// rename, so graphs already loaded from `path` stay readable.
 void write_pg(const std::string& path, const Graph& g);
 
 /// True iff `path` exists and starts with the `.pg` magic (content sniff,

@@ -4,6 +4,7 @@
 // row's result stays bit-identical to a clean run.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <cstddef>
 #include <stdexcept>
@@ -21,8 +22,11 @@ namespace padlock {
 namespace {
 
 // ---- fault probes ----------------------------------------------------------
-// A test-only problem with one verifying algorithm and three saboteurs,
-// registered once into the process registry (this test binary only).
+// A test-only problem with one verifying algorithm, three saboteurs, and a
+// verifying algorithm whose precondition counts its calls, registered once
+// into the process registry (this test binary only).
+
+std::atomic<int> counted_precondition_calls{0};
 
 AlgoResult probe_result(const RunContext& ctx, Label first_node_label) {
   AlgoResult res;
@@ -71,6 +75,17 @@ void ensure_fault_probes_registered() {
                      .complexity = "O(1)",
                      .solve = [](const RunContext&) -> AlgoResult {
                        PADLOCK_REQUIRE(false && "injected contract violation");
+                     }});
+    r.register_algo({.name = "counted",
+                     .problem = "test-fault",
+                     .complexity = "O(1)",
+                     .precondition =
+                         [](const Graph&) {
+                           counted_precondition_calls.fetch_add(1);
+                           return true;
+                         },
+                     .solve = [](const RunContext& ctx) {
+                       return probe_result(ctx, 7);
                      }});
     return true;
   }();
@@ -240,6 +255,21 @@ TEST_F(FaultIsolationTest, RoundsComeFromFirstVerifiedRepeat) {
   EXPECT_EQ(out.rows[0].status, RowStatus::kOk);
   EXPECT_EQ(out.rows[0].rounds, 1);
   EXPECT_EQ(out.rows[0].stats.get_or("probe", 0), 1);
+}
+
+TEST_F(FaultIsolationTest, PreconditionIsCheckedOncePerRow) {
+  // The row checks the precondition once; its repeats do not check it
+  // again (each still validates the ids it generates).
+  ExecutionPlan plan;
+  plan.pairs = {{"test-fault", "counted"}};
+  plan.graphs = {{"cycle", 16, 3, 1}};
+  plan.repeat = 3;
+  counted_precondition_calls = 0;
+  const SweepOutcome out = run_batch(plan);
+  ASSERT_EQ(out.rows.size(), 1u);
+  EXPECT_EQ(out.rows[0].status, RowStatus::kOk);
+  EXPECT_EQ(out.rows[0].repeat, 3);
+  EXPECT_EQ(counted_precondition_calls.load(), 1);
 }
 
 // ---- run_scenarios ---------------------------------------------------------

@@ -225,6 +225,31 @@ TEST(RunnerDispatch, ErrorMessagesNameTheAvailableEntries) {
   }
 }
 
+TEST(RunnerDispatch, ColorReduceNamesItsIdBound) {
+  // color-reduce colors with the ids themselves, as ints. Sparse ids at
+  // 2048 nodes come from {1..2048^3} and exceed 2^31 - 1.
+  const Graph g = build::random_regular_simple(2048, 3, 1);
+  RunOptions opts;
+  opts.ids = IdStrategy::kSparse;
+  try {
+    run("coloring", "color-reduce", g, opts);
+    FAIL() << "expected RegistryError";
+  } catch (const RegistryError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("coloring/color-reduce needs ids at most 2^31 - 1 = "
+                       "2147483647, got id "),
+              std::string::npos)
+        << msg;
+  }
+  EXPECT_NE(AlgorithmRegistry::instance()
+                .algo("coloring", "color-reduce")
+                .requires_text.find("2^31 - 1"),
+            std::string::npos);
+  // Ids within the bound still run.
+  opts.ids = IdStrategy::kShuffled;
+  EXPECT_TRUE(run("coloring", "color-reduce", g, opts).ok());
+}
+
 TEST(RunnerDispatch, UnknownIdStrategyNameThrows) {
   EXPECT_THROW((void)id_strategy_from_name("fancy"), RegistryError);
   EXPECT_EQ(id_strategy_from_name("sparse"), IdStrategy::kSparse);

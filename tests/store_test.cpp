@@ -497,6 +497,34 @@ TEST(PgStore, MappedGraphCopiesKeepTheMappingAlive) {
   EXPECT_EQ(moved.num_edges(), m);
 }
 
+// Rewriting the path of a loaded graph must not pull its mapping out from
+// under it: write_pg replaces the file in one rename instead of truncating
+// it, so the loaded graph keeps reading the old file's pages.
+TEST(PgStore, RewritingTheLoadedPathKeepsTheLoadedGraphReadable) {
+  const std::string dir = temp_path("rewrite");
+  std::filesystem::create_directory(dir);
+  const std::string pg = dir + "/graph.pg";
+  const std::size_t big = std::size_t{1} << 16;
+  store::write_pg(pg, build::cycle(big));
+  const Graph loaded = store::load_pg(pg);
+  ASSERT_EQ(loaded.num_nodes(), big);
+
+  store::write_pg(pg, build::cycle(64));
+  std::uint64_t degree_sum = 0;
+  for (NodeId v = 0; v < loaded.num_nodes(); ++v)
+    degree_sum += loaded.degree(v);
+  EXPECT_EQ(degree_sum, 2 * big);
+
+  EXPECT_EQ(store::load_pg(pg).num_nodes(), 64u);
+  // The temporary file was renamed away, not left beside the target.
+  std::size_t entries = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename(), "graph.pg");
+    ++entries;
+  }
+  EXPECT_EQ(entries, 1u);
+}
+
 // ---- family dispatch + cache keys ------------------------------------------
 
 TEST(FileFamily, DispatchesThroughBuildFamily) {
