@@ -39,6 +39,11 @@ struct Result {
 
 int main(int argc, char** argv) {
   set_threads_from_args(argc, argv);  // default: all cores
+  const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
+  const AlgoSpec& det_leaf =
+      registry.algo("sinkless-orientation", "short-cycle-det");
+  const AlgoSpec& rand_leaf =
+      registry.algo("sinkless-orientation", "propose-repair");
 
   std::printf("E5 / §3 — padding balance ablation (target N ~ 1.3e5)\n");
   const double target = 1.3e5;
@@ -49,17 +54,17 @@ int main(int argc, char** argv) {
     const int h = heights[i];
     tasks.push_back(
         {"balance/h=" + std::to_string(h),
-         [i, h, target, &results](SweepRow& row) {
+         [i, h, target, &results, &det_leaf, &rand_leaf](SweepRow& row) {
            const auto gsize = gadget_size(3, h);
            const auto base = std::max<std::size_t>(
                8, static_cast<std::size_t>(target / static_cast<double>(gsize)));
            const auto hier = build_hierarchy_with_heights(2, base, {h}, 1234 + h);
-           const auto det = solve_hierarchy(hier, false, 5);
+           const auto det = solve_hierarchy(hier, det_leaf, 5);
            PADLOCK_REQUIRE(det.leaf_output_sinkless);
            double rnd_mean = 0;
            const int kSeeds = 3;
            for (int sd = 0; sd < kSeeds; ++sd) {
-             const auto rnd = solve_hierarchy(hier, true, 5 + 11 * sd);
+             const auto rnd = solve_hierarchy(hier, rand_leaf, 5 + 11 * sd);
              PADLOCK_REQUIRE(rnd.leaf_output_sinkless);
              rnd_mean += rnd.rounds;
            }

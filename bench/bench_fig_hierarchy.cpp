@@ -37,6 +37,11 @@ struct Result {
 
 int main(int argc, char** argv) {
   set_threads_from_args(argc, argv);  // default: all cores
+  const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
+  const AlgoSpec& det_leaf =
+      registry.algo("sinkless-orientation", "short-cycle-det");
+  const AlgoSpec& rand_leaf =
+      registry.algo("sinkless-orientation", "propose-repair");
 
   std::printf("E4 / Theorem 11 — the hierarchy Pi_i\n");
   const std::vector<Cfg> cfgs{{1, 256}, {1, 1024}, {1, 4096},
@@ -48,15 +53,16 @@ int main(int argc, char** argv) {
     const Cfg c = cfgs[i];
     tasks.push_back({"pi_" + std::to_string(c.level) +
                          "/base=" + std::to_string(c.base),
-                     [i, c, &results](SweepRow& row) {
+                     [i, c, &results, &det_leaf, &rand_leaf](SweepRow& row) {
                        const auto h =
                            build_hierarchy(c.level, c.base, 7 * c.base + c.level);
-                       const auto det = solve_hierarchy(h, false, 13);
+                       const auto det = solve_hierarchy(h, det_leaf, 13);
                        PADLOCK_REQUIRE(det.leaf_output_sinkless);
                        double rnd_mean = 0;
                        const int kSeeds = 3;
                        for (int sd = 0; sd < kSeeds; ++sd) {
-                         const auto rnd = solve_hierarchy(h, true, 13 + 17 * sd);
+                         const auto rnd =
+                             solve_hierarchy(h, rand_leaf, 13 + 17 * sd);
                          PADLOCK_REQUIRE(rnd.leaf_output_sinkless);
                          rnd_mean += rnd.rounds;
                        }

@@ -20,8 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "algo/sinkless_det.hpp"
-#include "algo/sinkless_rand.hpp"
 #include "core/graph_cache.hpp"
 #include "core/hierarchy.hpp"
 #include "core/runner.hpp"
@@ -56,15 +54,12 @@ Run run_family(const Graph& base, bool path_family, int delta,
   const IdMap ids = shuffled_ids(pb.instance.graph, 11);
   const std::size_t n = pb.instance.graph.num_nodes();
 
-  const InnerSolver det_solver = [](const Graph& g, const IdMap& vids,
-                                    const NeLabeling&, std::size_t nk) {
-    const auto r = sinkless_orientation_det(g, vids, nk);
-    return InnerSolveResult{orientation_to_labeling(g, r.tails),
-                            r.report.rounds};
-  };
+  const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
   Run run;
   run.nodes = n;
-  const auto det = solve_pi_prime(pb.instance, det_solver, ids, n);
+  const auto det = solve_pi_prime(
+      pb.instance,
+      registry.algo("sinkless-orientation", "short-cycle-det").solve, ids, n);
   run.det = det.report.rounds;
   run.stretch = det.stretch;
   const SinklessOrientation pi;
@@ -72,12 +67,10 @@ Run run_family(const Graph& base, bool path_family, int delta,
 
   const int kSeeds = 3;
   for (int s = 0; s < kSeeds; ++s) {
-    const InnerSolver rnd_solver = [s](const Graph& g, const IdMap& vids,
-                                       const NeLabeling&, std::size_t nk) {
-      const auto r = sinkless_orientation_rand(g, vids, nk, 77 + 13 * s);
-      return InnerSolveResult{orientation_to_labeling(g, r.tails), r.rounds};
-    };
-    const auto rnd = solve_pi_prime(pb.instance, rnd_solver, ids, n);
+    const auto rnd = solve_pi_prime(
+        pb.instance,
+        registry.algo("sinkless-orientation", "propose-repair").solve, ids, n,
+        77 + 13 * s);
     PADLOCK_REQUIRE(check_pi_prime(pb.instance, pi, rnd.output).ok);
     run.rnd += rnd.report.rounds;
   }

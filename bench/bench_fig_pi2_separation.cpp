@@ -34,6 +34,11 @@ struct Result {
 
 int main(int argc, char** argv) {
   set_threads_from_args(argc, argv);  // default: all cores
+  const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
+  const AlgoSpec& det_leaf =
+      registry.algo("sinkless-orientation", "short-cycle-det");
+  const AlgoSpec& rand_leaf =
+      registry.algo("sinkless-orientation", "propose-repair");
 
   std::printf(
       "E3 / Theorem 1 + §5 — Pi_2: det Θ(log² N) vs rand Θ(log N loglog N)\n");
@@ -44,15 +49,15 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < bases.size(); ++i) {
     const std::size_t base = bases[i];
     tasks.push_back(
-        {"pi2/base=" + std::to_string(base), [i, base, &results](SweepRow& row) {
+        {"pi2/base=" + std::to_string(base), [&, i, base](SweepRow& row) {
            const auto h = build_hierarchy(2, base, 101 + base);
-           const auto det = solve_hierarchy(h, false, 7);
+           const auto det = solve_hierarchy(h, det_leaf, 7);
            PADLOCK_REQUIRE(det.leaf_output_sinkless);
            // The randomized complexity is an expectation; average over seeds.
            double rnd_mean = 0;
            const int kSeeds = 5;
            for (int s = 0; s < kSeeds; ++s) {
-             const auto rnd = solve_hierarchy(h, true, 7 + 13 * s);
+             const auto rnd = solve_hierarchy(h, rand_leaf, 7 + 13 * s);
              PADLOCK_REQUIRE(rnd.leaf_output_sinkless);
              rnd_mean += rnd.rounds;
            }

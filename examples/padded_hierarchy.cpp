@@ -7,8 +7,6 @@
 #include <cstdlib>
 #include <optional>
 
-#include "algo/sinkless_det.hpp"
-#include "algo/sinkless_rand.hpp"
 #include "core/hierarchy.hpp"
 #include "lcl/problems/sinkless_orientation.hpp"
 #include "support/parse.hpp"
@@ -37,13 +35,11 @@ int main(int argc, char** argv) {
   // Full Π' solve with explicit diagnostics.
   const auto& inst = h.padded.back().instance;
   const IdMap ids = shuffled_ids(inst.graph, 11);
-  const InnerSolver det = [](const Graph& g, const IdMap& vids,
-                             const NeLabeling&, std::size_t nk) {
-    const auto r = sinkless_orientation_det(g, vids, nk);
-    return InnerSolveResult{orientation_to_labeling(g, r.tails),
-                            r.report.rounds};
-  };
-  const auto res = solve_pi_prime(inst, det, ids, h.total_nodes());
+  const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
+  const AlgoSpec& det =
+      registry.algo("sinkless-orientation", "short-cycle-det");
+  const AlgoSpec& rnd = registry.algo("sinkless-orientation", "propose-repair");
+  const auto res = solve_pi_prime(inst, det.solve, ids, h.total_nodes());
   std::printf(
       "Lemma 4 pipeline: verifier %d rounds; contracted to %zu virtual "
       "nodes / %zu virtual edges;\n  inner sinkless solve %d rounds; gadget "
@@ -57,8 +53,8 @@ int main(int argc, char** argv) {
               chk.ok ? "valid" : "INVALID");
 
   // The headline comparison through the hierarchy driver.
-  const auto d = solve_hierarchy(h, false, 5);
-  const auto r = solve_hierarchy(h, true, 5);
+  const auto d = solve_hierarchy(h, det, 5);
+  const auto r = solve_hierarchy(h, rnd, 5);
   std::printf(
       "\ndeterministic: leaf %d rounds -> total %d rounds\n"
       "randomized:    leaf %d rounds -> total %d rounds\n"

@@ -48,7 +48,7 @@
 //   padlock_cli pad      --base-nodes 16 --delta 3 --height 3 [--dot] [--dump]
 //   padlock_cli solve    --levels 2 --base-nodes 64 [--rand] [--seed 7]
 //   padlock_cli verify   < padded-instance.txt
-//   padlock_cli export   --kind cycle|cubic|torus --nodes N [--seed S]
+//   padlock_cli export   --kind <family> --nodes N [--seed S] [--dot]
 //
 // Outputs go to stdout so artifacts can be piped:
 //   padlock_cli pad --base-nodes 9 --dump | padlock_cli verify
@@ -509,7 +509,12 @@ int cmd_solve(const Args& a) {
   const auto seed = static_cast<std::uint64_t>(a.num("seed", 7, 0, (1LL << 62)));
   const bool randomized = a.flag("rand");
   const Hierarchy h = build_hierarchy(levels, base_nodes, seed);
-  const auto res = solve_hierarchy(h, randomized, seed);
+  const auto res = solve_hierarchy(
+      h,
+      AlgorithmRegistry::instance().algo(
+          "sinkless-orientation",
+          randomized ? "propose-repair" : "short-cycle-det"),
+      seed);
   std::printf(
       "Pi_%d on %zu nodes (%s leaf): %d rounds "
       "(leaf %d, sinkless output %s)\n",
@@ -540,17 +545,7 @@ int cmd_export(const Args& a) {
   const std::string kind = a.str("kind", "cycle");
   const std::size_t n = static_cast<std::size_t>(a.num("nodes", 32, 1, 1LL << 26));
   const auto seed = static_cast<std::uint64_t>(a.num("seed", 1, 0, (1LL << 62)));
-  Graph g;
-  if (kind == "cycle") {
-    g = build::cycle(n);
-  } else if (kind == "cubic") {
-    g = build::random_regular(n, 3, seed);
-  } else if (kind == "torus") {
-    g = build::torus(n / 8 > 0 ? n / 8 : 1, 8);
-  } else {
-    std::fprintf(stderr, "unknown kind '%s'\n", kind.c_str());
-    return 2;
-  }
+  const Graph g = build::family(kind, n, 3, seed);
   if (a.flag("dot")) {
     io::write_dot(std::cout, g);
   } else {

@@ -434,7 +434,8 @@ void register_sinkless_det_algos(AlgorithmRegistry& r) {
       .precondition = nullptr,
       .solve =
           [](const RunContext& ctx) {
-            const std::size_t n = ctx.graph.num_nodes();
+            const std::size_t n =
+                std::max(ctx.n_known, ctx.graph.num_nodes());
             auto res = sinkless_orientation_det(ctx.graph, ctx.ids, n);
             AlgoResult out{
                 .output = orientation_to_labeling(ctx.graph, res.tails),

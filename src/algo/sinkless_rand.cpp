@@ -277,7 +277,8 @@ void register_sinkless_rand_algos(AlgorithmRegistry& r) {
       .solve =
           [](const RunContext& ctx) {
             const auto res = sinkless_orientation_rand(
-                ctx.graph, ctx.ids, ctx.graph.num_nodes(), ctx.seed);
+                ctx.graph, ctx.ids,
+                std::max(ctx.n_known, ctx.graph.num_nodes()), ctx.seed);
             AlgoResult out{
                 .output = orientation_to_labeling(ctx.graph, res.tails),
                 .rounds = RoundReport::uniform(ctx.graph, res.rounds),

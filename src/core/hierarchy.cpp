@@ -1,12 +1,10 @@
 #include "core/hierarchy.hpp"
 
 #include <algorithm>
+#include <functional>
 
-#include "algo/sinkless_det.hpp"
-#include "algo/sinkless_rand.hpp"
 #include "graph/builders.hpp"
 #include "gadget/path_gadget.hpp"
-#include "lcl/problems/sinkless_orientation.hpp"
 
 namespace padlock {
 
@@ -115,42 +113,32 @@ PaddedInstance decode_padded_instance(const Graph& g,
   return inst;
 }
 
-Hierarchy build_hierarchy(int levels, std::size_t base_nodes,
-                          std::uint64_t seed) {
-  // Balanced: gadgets of roughly the previous instance's size.
-  std::vector<int> heights;
-  Hierarchy probe = build_hierarchy_with_heights(1, base_nodes, {}, seed);
-  std::size_t prev = probe.base.num_nodes();
-  int delta = probe.base.max_degree();
-  for (int lvl = 2; lvl <= levels; ++lvl) {
-    const int h = std::max(3, height_for_gadget_nodes(delta, prev));
-    heights.push_back(h);
-    prev *= gadget_size(delta, h);
-    delta = 5;  // padded instances have max degree 5 (see below)
-  }
-  return build_hierarchy_with_heights(levels, base_nodes, heights, seed);
+namespace {
+
+// The level-1 base: a random cubic graph (every node degree 3, the minimum
+// for sinkless orientation to be non-trivial) on `base_nodes` rounded up
+// to even and at least 4.
+std::size_t base_size(std::size_t base_nodes) {
+  return std::max<std::size_t>(base_nodes + base_nodes % 2, 4);
 }
 
-Hierarchy build_hierarchy_with_heights(int levels, std::size_t base_nodes,
-                                       const std::vector<int>& heights,
-                                       std::uint64_t seed) {
+/// Builds the base and pads it `levels - 1` times; `pad(level, graph,
+/// input, delta)` pads the level-(level-1) instance into level `level`.
+Hierarchy build_levels(
+    int levels, std::size_t base_nodes, std::uint64_t seed,
+    const std::function<PaddedBuild(int, const Graph&, const NeLabeling&,
+                                    int)>& pad) {
   PADLOCK_REQUIRE(levels >= 1);
-  PADLOCK_REQUIRE(heights.size() + 1 >= static_cast<std::size_t>(levels));
   Hierarchy h;
   h.levels = levels;
-  // Level 1: a random cubic multigraph (every node degree 3, the minimum
-  // for sinkless orientation to be non-trivial).
-  std::size_t n0 = base_nodes + (base_nodes % 2);
-  h.base = build::random_regular_simple(std::max<std::size_t>(n0, 4), 3,
+  h.base = build::random_regular_simple(base_size(base_nodes), 3,
                                         seed ^ 0xBA5Eull);
 
   const Graph* cur = &h.base;
   NeLabeling cur_input(*cur);  // sinkless orientation has no inputs
   for (int lvl = 2; lvl <= levels; ++lvl) {
-    const int delta = std::max(3, cur->max_degree());
-    const int height = heights[static_cast<std::size_t>(lvl - 2)];
     h.padded.push_back(
-        build_padded_instance(*cur, cur_input, delta, height));
+        pad(lvl, *cur, cur_input, std::max(3, cur->max_degree())));
     cur = &h.padded.back().instance.graph;
     // Only re-encode if another padding level will consume it (one label
     // holds one layer of structure plus the next layer's encoding; the
@@ -162,112 +150,118 @@ Hierarchy build_hierarchy_with_heights(int levels, std::size_t base_nodes,
   return h;
 }
 
+}  // namespace
+
+Hierarchy build_hierarchy(int levels, std::size_t base_nodes,
+                          std::uint64_t seed) {
+  // Balanced: gadgets of roughly the previous instance's size.
+  std::vector<int> heights;
+  std::size_t prev = base_size(base_nodes);
+  int delta = 3;
+  for (int lvl = 2; lvl <= levels; ++lvl) {
+    const int h = std::max(3, height_for_gadget_nodes(delta, prev));
+    heights.push_back(h);
+    prev *= gadget_size(delta, h);
+    delta = 5;  // padded instances have max degree 5
+  }
+  return build_hierarchy_with_heights(levels, base_nodes, heights, seed);
+}
+
+Hierarchy build_hierarchy_with_heights(int levels, std::size_t base_nodes,
+                                       const std::vector<int>& heights,
+                                       std::uint64_t seed) {
+  PADLOCK_REQUIRE(heights.size() + 1 >= static_cast<std::size_t>(levels));
+  return build_levels(
+      levels, base_nodes, seed,
+      [&](int lvl, const Graph& g, const NeLabeling& input, int delta) {
+        return build_padded_instance(
+            g, input, delta, heights[static_cast<std::size_t>(lvl - 2)]);
+      });
+}
+
 Hierarchy build_path_hierarchy(int levels, std::size_t base_nodes,
                                std::uint64_t seed) {
-  PADLOCK_REQUIRE(levels >= 1);
-  Hierarchy h;
-  h.levels = levels;
-  const std::size_t n0 = base_nodes + (base_nodes % 2);
-  h.base = build::random_regular_simple(std::max<std::size_t>(n0, 4), 3,
-                                        seed ^ 0xBA5Eull);
-
-  const Graph* cur = &h.base;
-  NeLabeling cur_input(*cur);
-  for (int lvl = 2; lvl <= levels; ++lvl) {
-    const int delta = std::max(3, cur->max_degree());
-    const int length = path_length_for_size(delta, cur->num_nodes());
-    h.padded.push_back(
-        build_padded_instance_path(*cur, cur_input, delta, length));
-    cur = &h.padded.back().instance.graph;
-    if (lvl < levels)
-      cur_input = encode_padded_instance(h.padded.back().instance);
-  }
-  return h;
+  return build_levels(
+      levels, base_nodes, seed,
+      [](int, const Graph& g, const NeLabeling& input, int delta) {
+        return build_padded_instance_path(
+            g, input, delta, path_length_for_size(delta, g.num_nodes()));
+      });
 }
 
 namespace {
 
-/// Recursive Lemma 4 solver. `level` counts down to 1.
-InnerSolveResult solve_level(int level, const PaddedInstance& inst,
-                             const IdMap& ids, std::size_t n_known,
-                             bool randomized_leaf, std::uint64_t seed,
-                             HierarchySolveResult* diag);
-
-InnerSolveResult solve_leaf(const Graph& g, const IdMap& ids,
-                            std::size_t n_known, bool randomized,
-                            std::uint64_t seed,
-                            HierarchySolveResult* diag) {
-  InnerSolveResult r;
-  Orientation tails(g, 0);
-  if (randomized) {
-    const auto res = sinkless_orientation_rand(g, ids, n_known, seed);
-    tails = res.tails;
-    r.rounds = res.rounds;
-  } else {
-    const auto res = sinkless_orientation_det(g, ids, n_known);
-    tails = res.tails;
-    r.rounds = res.report.rounds;
-  }
-  r.output = orientation_to_labeling(g, tails);
-  if (diag != nullptr) {
-    diag->leaf_rounds = r.rounds;
-    diag->leaf_output_sinkless = is_sinkless(g, tails);
-  }
+/// Level 1: the registered leaf, checked by its problem's ne-LCL.
+AlgoResult solve_leaf(const AlgoSpec& leaf, const RunContext& ctx,
+                      HierarchySolveResult& diag) {
+  AlgoResult r = leaf.solve(ctx);
+  const auto lcl =
+      AlgorithmRegistry::instance().problem(leaf.problem).make_lcl(ctx.graph);
+  diag.leaf_rounds = r.rounds.rounds;
+  diag.leaf_output_sinkless =
+      check_ne_lcl(ctx.graph, *lcl, ctx.input, r.output).ok;
   return r;
 }
 
-InnerSolveResult solve_level(int level, const PaddedInstance& inst,
-                             const IdMap& ids, std::size_t n_known,
-                             bool randomized_leaf, std::uint64_t seed,
-                             HierarchySolveResult* diag) {
-  PADLOCK_REQUIRE(level >= 2);
-  const InnerSolver inner = [&](const Graph& vg, const IdMap& vids,
-                                const NeLabeling& vinput,
-                                std::size_t nk) -> InnerSolveResult {
-    if (level == 2)
-      return solve_leaf(vg, vids, nk, randomized_leaf, seed, diag);
-    const PaddedInstance vinst = decode_padded_instance(vg, vinput);
-    return solve_level(level - 1, vinst, vids, nk, randomized_leaf, seed,
-                       diag);
+/// Recursive Lemma 4 solver. `level` counts down to 2, whose virtual graph
+/// is the leaf's instance.
+AlgoResult solve_level(int level, const AlgoSpec& leaf,
+                       const PaddedInstance& inst, const IdMap& ids,
+                       std::size_t n_known, std::uint64_t seed,
+                       HierarchySolveResult& diag) {
+  const auto inner = [&](const RunContext& ctx) {
+    if (level == 2) return solve_leaf(leaf, ctx, diag);
+    return solve_level(level - 1, leaf,
+                       decode_padded_instance(ctx.graph, ctx.input), ctx.ids,
+                       ctx.n_known, ctx.seed, diag);
   };
-  const PiPrimeSolveResult res = solve_pi_prime(inst, inner, ids, n_known);
-  if (diag != nullptr) {
-    // Innermost level first; the outermost solve finishes last and wins.
-    diag->stretch_per_level.push_back(res.stretch);
-    diag->top = res;
-  }
+  PiPrimeSolveResult res = solve_pi_prime(inst, inner, ids, n_known, seed);
+  // Innermost level first; the outermost solve finishes last and wins.
+  diag.stretch_per_level.push_back(res.stretch);
   // The structured Π' output of this level is summarized for the layer
   // above: a level-(i) node's "output label" seen by level i+1 is the
   // Σ_list digest. Round accounting is exact, but the output is flattened:
   // the layer above sees only this digest, not the full structured Π'
   // output, so with three or more levels the inner levels' outputs are not
   // checked end to end (the leaf's sinkless check is).
-  InnerSolveResult out;
-  out.rounds = res.report.rounds;
-  out.output = NeLabeling(inst.graph);
+  AlgoResult out{.output = NeLabeling(inst.graph),
+                 .rounds = res.report,
+                 .stats = {}};
   for (NodeId v = 0; v < inst.graph.num_nodes(); ++v)
     out.output.node[v] =
         static_cast<Label>(res.output.psi.kind[v]) |
         (static_cast<Label>(res.output.port_status[v]) << 8);
+  diag.top = std::move(res);
   return out;
 }
 
 }  // namespace
 
-HierarchySolveResult solve_hierarchy(const Hierarchy& h, bool randomized_leaf,
+HierarchySolveResult solve_hierarchy(const Hierarchy& h, const AlgoSpec& leaf,
                                      std::uint64_t seed) {
+  if (leaf.problem != "sinkless-orientation")
+    throw RegistryError("the hierarchy's leaf solves sinkless-orientation, "
+                        "not '" + leaf.problem + "'");
   HierarchySolveResult diag;
   const Graph& top = h.top_graph();
   const IdMap ids = shuffled_ids(top, seed ^ 0x1D5ull);
   const std::size_t n = top.num_nodes();
   if (h.levels == 1) {
-    const auto r = solve_leaf(top, ids, n, randomized_leaf, seed, &diag);
-    diag.rounds = r.rounds;
-    return diag;
+    const NeLabeling input(top);
+    solve_leaf(leaf,
+               RunContext{.graph = top,
+                          .ids = ids,
+                          .id_space = n,
+                          .seed = seed,
+                          .input = input,
+                          .n_known = n},
+               diag);
+    diag.rounds = diag.leaf_rounds;
+  } else {
+    diag.rounds = solve_level(h.levels, leaf, h.padded.back().instance, ids,
+                              n, seed, diag)
+                      .rounds.rounds;
   }
-  const auto r = solve_level(h.levels, h.padded.back().instance, ids, n,
-                             randomized_leaf, seed, &diag);
-  diag.rounds = r.rounds;
   return diag;
 }
 

@@ -93,11 +93,13 @@ struct HierarchySolveResult {
   PiPrimeSolveResult top;              // outermost Π' diagnostics (levels>1)
 };
 
-/// Solves the hierarchy instance end to end. `randomized_leaf` picks the
-/// level-1 algorithm (randomized vs deterministic sinkless orientation);
-/// ids are assigned fresh per level from `seed` (virtual ids follow
-/// Lemma 4's smallest-contained-id rule automatically).
-HierarchySolveResult solve_hierarchy(const Hierarchy& h, bool randomized_leaf,
+/// Solves the hierarchy instance end to end. `leaf` is the registered
+/// sinkless-orientation algorithm of level 1 (RegistryError for any other
+/// problem); its output is checked by the problem's ne-LCL. Ids are
+/// assigned fresh per level from `seed`, which also feeds a randomized
+/// leaf (virtual ids follow Lemma 4's smallest-contained-id rule
+/// automatically).
+HierarchySolveResult solve_hierarchy(const Hierarchy& h, const AlgoSpec& leaf,
                                      std::uint64_t seed);
 
 }  // namespace padlock

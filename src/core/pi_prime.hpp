@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/padded_graph.hpp"
+#include "core/registry.hpp"
 #include "gadget/ne_refinement.hpp"
 #include "lcl/checker.hpp"
 #include "local/engine.hpp"
@@ -75,16 +76,6 @@ PiPrimeCheckResult check_pi_prime(const PaddedInstance& inst, const NeLcl& pi,
                                   const PiPrimeOutput& out,
                                   std::size_t max_violations = 16);
 
-/// An inner-problem solver: produces an ne-labeling of Π on (multigraph)
-/// instances and reports its LOCAL round count.
-struct InnerSolveResult {
-  NeLabeling output;
-  int rounds = 0;
-};
-using InnerSolver = std::function<InnerSolveResult(
-    const Graph& g, const IdMap& ids, const NeLabeling& input,
-    std::size_t n_known)>;
-
 /// Diagnostics + round accounting of one Π' solve (Lemma 4).
 struct PiPrimeSolveResult {
   PiPrimeOutput output;
@@ -98,11 +89,15 @@ struct PiPrimeSolveResult {
 
 /// Lemma 4's algorithm: run the gadget verifier, mark ports, contract valid
 /// gadgets into the virtual multigraph, run `solve_pi` on it, and write all
-/// outputs back. Round accounting: per padded node, the verifier radius
-/// plus (inside valid gadgets) the simulation gather radius
+/// outputs back. `solve_pi` is a registered solver (AlgoSpec::solve); its
+/// RunContext is the virtual graph with the smallest-contained-id virtual
+/// ids, the copied inputs, `seed`, and id_space = n_known (virtual ids are
+/// padded ids). Round accounting: per padded node, the verifier radius plus
+/// (inside valid gadgets) the simulation gather radius
 /// T(Π) * stretch + stretch.
-PiPrimeSolveResult solve_pi_prime(const PaddedInstance& inst,
-                                  const InnerSolver& solve_pi,
-                                  const IdMap& ids, std::size_t n_known);
+PiPrimeSolveResult solve_pi_prime(
+    const PaddedInstance& inst,
+    const std::function<AlgoResult(const RunContext&)>& solve_pi,
+    const IdMap& ids, std::size_t n_known, std::uint64_t seed = 1);
 
 }  // namespace padlock

@@ -64,13 +64,17 @@ struct Stats {
 
 /// Everything a registered solver may read. Ids are unique in
 /// {1..id_space}; `seed` feeds randomized algorithms (deterministic ones
-/// ignore it); `input` is the problem's input labeling over g.
+/// ignore it); `input` is the problem's input labeling over g. `n_known`
+/// is the size bound every node knows; 0 means the graph's own size.
+/// Lemma 4's solve (core/pi_prime.hpp) sets it to the padded instance's
+/// size when it runs a solver on the smaller virtual graph.
 struct RunContext {
   const Graph& graph;
   const IdMap& ids;
   std::uint64_t id_space = 0;
   std::uint64_t seed = 0;
   const NeLabeling& input;
+  std::size_t n_known = 0;
 };
 
 /// What a registered solver returns: the output labeling in the unified

@@ -10,6 +10,7 @@
 #include "core/graph_cache.hpp"
 #include "graph/builders.hpp"
 #include "support/check.hpp"
+#include "support/json.hpp"
 
 namespace padlock {
 
@@ -514,42 +515,6 @@ SweepOutcome run_scenarios(const std::vector<ScenarioTask>& scenarios,
 
 namespace {
 
-// Strict JSON string escaping: quotes, backslashes, and all control
-// characters (an exception message can contain any of them).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char raw : s) {
-    const auto c = static_cast<unsigned char>(raw);
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += raw;
-        }
-    }
-  }
-  return out;
-}
-
 /// Derived throughput column: edge traversals per second, counting one
 /// traversal per edge per round (rounds == 0 rows — builders, loaders —
 /// count one pass over the edge set). 0 when the row carries no edge count
@@ -566,18 +531,19 @@ std::uint64_t edges_per_sec(const SweepRow& row) {
 // One row object, exactly as it appears inside to_json's "rows" array;
 // row_to_json exposes the same bytes to the serve daemon's streaming path.
 void append_row_json(std::ostringstream& out, const SweepRow& row) {
-  out << "{\"problem\": \"" << json_escape(row.problem)
-      << "\", \"algo\": \"" << json_escape(row.algo) << "\", \"family\": \""
-      << json_escape(row.graph.family) << "\", \"nodes\": " << row.nodes
+  out << "{\"problem\": " << json_quote(row.problem)
+      << ", \"algo\": " << json_quote(row.algo)
+      << ", \"family\": " << json_quote(row.graph.family)
+      << ", \"nodes\": " << row.nodes
       << ", \"edges\": " << row.edges << ", \"rounds\": " << row.rounds
       << ", \"status\": \"" << row_status_name(row.status)
       << "\", \"ok\": " << (row.ok() ? "true" : "false")
       << ", \"skipped\": " << (row.skipped() ? "true" : "false");
   if (!row.note.empty()) {
-    out << ", \"note\": \"" << json_escape(row.note) << "\"";
+    out << ", \"note\": " << json_quote(row.note);
   }
   if (!row.error.empty()) {
-    out << ", \"error\": \"" << json_escape(row.error) << "\"";
+    out << ", \"error\": " << json_quote(row.error);
   }
   out << ", \"repeat\": " << row.repeat
       << ", \"wall_ns_min\": " << row.wall_ns_min
@@ -589,7 +555,7 @@ void append_row_json(std::ostringstream& out, const SweepRow& row) {
     for (const auto& [key, value] : row.stats.entries) {
       if (!first_stat) out << ", ";
       first_stat = false;
-      out << "\"" << json_escape(key) << "\": " << value;
+      out << json_quote(key) << ": " << value;
     }
     out << "}";
   }

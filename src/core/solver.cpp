@@ -6,9 +6,10 @@
 
 namespace padlock {
 
-PiPrimeSolveResult solve_pi_prime(const PaddedInstance& inst,
-                                  const InnerSolver& solve_pi,
-                                  const IdMap& ids, std::size_t n_known) {
+PiPrimeSolveResult solve_pi_prime(
+    const PaddedInstance& inst,
+    const std::function<AlgoResult(const RunContext&)>& solve_pi,
+    const IdMap& ids, std::size_t n_known, std::uint64_t seed) {
   const Graph& g = inst.graph;
   const int delta = inst.gadget.delta;
   PADLOCK_REQUIRE(ids_valid(g, ids));
@@ -159,9 +160,13 @@ PiPrimeSolveResult solve_pi_prime(const PaddedInstance& inst,
     }
 
     // ---- Step 4: solve Π on the virtual graph. ----
-    const InnerSolveResult inner =
-        solve_pi(vgraph, vids, vinput, n_known);
-    res.inner_rounds = inner.rounds;
+    const AlgoResult inner = solve_pi(RunContext{.graph = vgraph,
+                                                 .ids = vids,
+                                                 .id_space = n_known,
+                                                 .seed = seed,
+                                                 .input = vinput,
+                                                 .n_known = n_known});
+    res.inner_rounds = inner.rounds.rounds;
 
     // ---- Step 5: write Σ_list back into every valid gadget node. ----
     std::vector<SigmaList> lists(num_virtual, SigmaList(delta));

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <cstdio>
 
 namespace padlock::serve {
 
@@ -313,41 +312,5 @@ class Parser {
 }  // namespace
 
 JsonValue parse_json(std::string_view text) { return Parser(text).parse(); }
-
-std::string json_quote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (const char raw : s) {
-    const auto c = static_cast<unsigned char>(raw);
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += raw;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
 
 }  // namespace padlock::serve

@@ -20,6 +20,8 @@
 #include <utility>
 #include <vector>
 
+#include "support/json.hpp"
+
 namespace padlock::serve {
 
 /// Thrown by parse_json on any syntax or strictness violation; the message
@@ -57,9 +59,8 @@ struct JsonValue {
 /// integer literal, invalid escapes, or unescaped control characters.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
-/// `s` as a quoted JSON string literal (quotes included), escaping quotes,
-/// backslashes, and control characters — the response-line counterpart of
-/// the strict reader above.
-[[nodiscard]] std::string json_quote(std::string_view s);
+/// The response-line counterpart of the strict reader above (one copy,
+/// support/json.hpp, shared with the sweep row renderer).
+using padlock::json_quote;
 
 }  // namespace padlock::serve

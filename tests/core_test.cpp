@@ -4,7 +4,6 @@
 #include "core/padded_graph.hpp"
 #include "core/pi_prime.hpp"
 #include "algo/sinkless_det.hpp"
-#include "algo/sinkless_rand.hpp"
 #include "gadget/faults.hpp"
 #include "graph/builders.hpp"
 #include "graph/metrics.hpp"
@@ -13,22 +12,31 @@
 namespace padlock {
 namespace {
 
-InnerSolver det_solver() {
-  return [](const Graph& g, const IdMap& ids, const NeLabeling&,
-            std::size_t n_known) {
-    const auto res = sinkless_orientation_det(g, ids, n_known);
-    return InnerSolveResult{orientation_to_labeling(g, res.tails),
-                            res.report.rounds};
-  };
+const AlgoSpec& det_leaf() {
+  return AlgorithmRegistry::instance().algo("sinkless-orientation",
+                                            "short-cycle-det");
 }
 
-InnerSolver rand_solver(std::uint64_t seed) {
-  return [seed](const Graph& g, const IdMap& ids, const NeLabeling&,
-                std::size_t n_known) {
-    const auto res = sinkless_orientation_rand(g, ids, n_known, seed);
-    return InnerSolveResult{orientation_to_labeling(g, res.tails),
-                            res.rounds};
-  };
+const AlgoSpec& rand_leaf() {
+  return AlgorithmRegistry::instance().algo("sinkless-orientation",
+                                            "propose-repair");
+}
+
+/// Relabels one LChild half next to the center of base node `b`'s gadget
+/// as RChild (a duplicate child label): that gadget becomes invalid.
+void corrupt_gadget(PaddedBuild& pb, NodeId b) {
+  PaddedInstance& inst = pb.instance;
+  const NodeId center = pb.meta.center[b];
+  for (int p = 0; p < inst.graph.degree(center); ++p) {
+    const NodeId root = inst.graph.node_across(inst.graph.incidence(center, p));
+    for (int q = 0; q < inst.graph.degree(root); ++q) {
+      const HalfEdge rh = inst.graph.incidence(root, q);
+      if (inst.gadget.half[rh] == kHalfLChild) {
+        inst.gadget.half[rh] = kHalfRChild;
+        return;
+      }
+    }
+  }
 }
 
 // ---- Padded graph construction -------------------------------------------------
@@ -80,9 +88,9 @@ TEST_P(PiPrimeSolveTest, SolvesAndChecksOnValidPadding) {
   const auto pb = build_padded_instance(base, NeLabeling(base), 3, 3);
   const auto& inst = pb.instance;
   const auto ids = shuffled_ids(inst.graph, 5);
-  const auto res = solve_pi_prime(
-      inst, randomized ? rand_solver(9) : det_solver(), ids,
-      inst.graph.num_nodes());
+  const auto res =
+      solve_pi_prime(inst, (randomized ? rand_leaf() : det_leaf()).solve, ids,
+                     inst.graph.num_nodes(), 9);
   EXPECT_EQ(res.virtual_nodes, base.num_nodes());
   EXPECT_EQ(res.virtual_edges, base.num_edges());
   const SinklessOrientation pi;
@@ -99,15 +107,70 @@ INSTANTIATE_TEST_SUITE_P(Cases, PiPrimeSolveTest,
                          ::testing::Combine(::testing::Values(8, 16, 32),
                                             ::testing::Values(false, true)));
 
+// Lemma 4 for every registered ne-LCL pair whose precondition the cubic
+// base meets, not only sinkless orientation: the solvers read the id space
+// of the context Π' builds (linial, color-reduce), and the Π' output must
+// satisfy that problem's ne-LCL, next to an invalid gadget too.
+TEST(PiPrimeSolve, EveryRegisteredInnerProblemSolvesAndChecks) {
+  const Graph base = build::random_regular_simple(16, 3, 4);
+  int pairs = 0;
+  for (const auto& [problem, algo] : AlgorithmRegistry::instance().pairs()) {
+    if (!problem->make_lcl) continue;
+    if (algo->precondition && !algo->precondition(base)) continue;
+    ++pairs;
+    const auto lcl = problem->make_lcl(base);
+    for (const bool corrupt : {false, true}) {
+      auto pb = build_padded_instance(base, NeLabeling(base), 3, 4);
+      if (corrupt) corrupt_gadget(pb, 3);
+      const auto ids = shuffled_ids(pb.instance.graph, 2);
+      const auto res = solve_pi_prime(pb.instance, algo->solve, ids,
+                                      pb.instance.graph.num_nodes(), 5);
+      EXPECT_EQ(res.virtual_nodes, base.num_nodes() - (corrupt ? 1 : 0));
+      EXPECT_GT(res.inner_rounds, 0);
+      const auto chk = check_pi_prime(pb.instance, *lcl, res.output);
+      EXPECT_TRUE(chk.ok) << problem->name << "/" << algo->name
+                          << " corrupt=" << corrupt << ": "
+                          << (chk.violations.empty()
+                                  ? "?"
+                                  : std::to_string(chk.violations[0].first) +
+                                        ": " + chk.violations[0].second);
+    }
+  }
+  EXPECT_GE(pairs, 10);
+}
+
+// The virtual graph is far smaller than the padded instance, but its nodes
+// know the padded size: Lemma 4 passes it as n_known and id_space, and
+// short-cycle-det sizes its cycle budget from it.
+TEST(PiPrimeSolve, VirtualSolverKnowsThePaddedSize) {
+  const Graph base = build::random_regular_simple(16, 3, 4);
+  const auto pb = build_padded_instance(base, NeLabeling(base), 3, 4);
+  const std::size_t n = pb.instance.graph.num_nodes();
+  const auto ids = shuffled_ids(pb.instance.graph, 2);
+  std::size_t virtual_n = 0;
+  std::int64_t budget = 0;
+  solve_pi_prime(pb.instance, [&](const RunContext& ctx) {
+    EXPECT_EQ(ctx.n_known, n);
+    EXPECT_EQ(ctx.id_space, n);
+    virtual_n = ctx.graph.num_nodes();
+    AlgoResult r = det_leaf().solve(ctx);
+    budget = r.stats.get_or("cycle_budget", 0);
+    return r;
+  }, ids, n);
+  EXPECT_EQ(virtual_n, base.num_nodes());
+  EXPECT_EQ(budget, sinkless_det_cycle_budget(n));
+  EXPECT_GT(budget, sinkless_det_cycle_budget(virtual_n));
+}
+
 TEST(PiPrimeSolve, RoundsScaleWithInnerTimesStretch) {
   Graph base = build::random_regular_simple(64, 3, 3);
   const auto small = build_padded_instance(base, NeLabeling(base), 3, 3);
   const auto big = build_padded_instance(base, NeLabeling(base), 3, 6);
   const auto ids_s = shuffled_ids(small.instance.graph, 1);
   const auto ids_b = shuffled_ids(big.instance.graph, 1);
-  const auto rs = solve_pi_prime(small.instance, det_solver(), ids_s,
+  const auto rs = solve_pi_prime(small.instance, det_leaf().solve, ids_s,
                                  small.instance.graph.num_nodes());
-  const auto rb = solve_pi_prime(big.instance, det_solver(), ids_b,
+  const auto rb = solve_pi_prime(big.instance, det_leaf().solve, ids_b,
                                  big.instance.graph.num_nodes());
   // Taller gadgets -> larger stretch -> more rounds.
   EXPECT_GT(rb.stretch, rs.stretch);
@@ -118,7 +181,7 @@ TEST(PiPrimeCheck, RejectsTamperedVirtualSolution) {
   Graph base = build::random_regular_simple(16, 3, 2);
   const auto pb = build_padded_instance(base, NeLabeling(base), 3, 3);
   const auto ids = shuffled_ids(pb.instance.graph, 4);
-  auto res = solve_pi_prime(pb.instance, det_solver(), ids,
+  auto res = solve_pi_prime(pb.instance, det_leaf().solve, ids,
                             pb.instance.graph.num_nodes());
   const SinklessOrientation pi;
   ASSERT_TRUE(check_pi_prime(pb.instance, pi, res.output).ok);
@@ -140,7 +203,7 @@ TEST(PiPrimeCheck, RejectsFakePortError) {
   Graph base = build::random_regular_simple(16, 3, 2);
   const auto pb = build_padded_instance(base, NeLabeling(base), 3, 3);
   const auto ids = shuffled_ids(pb.instance.graph, 4);
-  auto res = solve_pi_prime(pb.instance, det_solver(), ids,
+  auto res = solve_pi_prime(pb.instance, det_leaf().solve, ids,
                             pb.instance.graph.num_nodes());
   const SinklessOrientation pi;
   // Claiming PortErr1 between two valid gadgets violates constraint 4.
@@ -165,24 +228,10 @@ TEST(PiPrimeCheck, CheatingGadOkOnInvalidGadgetStillNeedsValidSolution) {
   // solve Π on the remaining gadgets; the checker must accept.
   Graph base = build::random_regular_simple(16, 3, 6);
   auto pb = build_padded_instance(base, NeLabeling(base), 3, 4);
-  auto& inst = pb.instance;
-  // Corrupt gadget of base node 0: find one of its LChild halves near the
-  // center and relabel it RChild (duplicate -> 1b violation).
-  const NodeId center0 = pb.meta.center[0];
-  for (int p = 0; p < inst.graph.degree(center0); ++p) {
-    const HalfEdge h = inst.graph.incidence(center0, p);
-    const NodeId root = inst.graph.node_across(h);
-    for (int q = 0; q < inst.graph.degree(root); ++q) {
-      const HalfEdge rh = inst.graph.incidence(root, q);
-      if (inst.gadget.half[rh] == kHalfLChild) {
-        inst.gadget.half[rh] = kHalfRChild;
-        p = inst.graph.degree(center0);
-        break;
-      }
-    }
-  }
+  corrupt_gadget(pb, 0);
+  const PaddedInstance& inst = pb.instance;
   const auto ids = shuffled_ids(inst.graph, 8);
-  const auto res = solve_pi_prime(inst, det_solver(), ids,
+  const auto res = solve_pi_prime(inst, det_leaf().solve, ids,
                                   inst.graph.num_nodes());
   EXPECT_EQ(res.virtual_nodes, base.num_nodes() - 1);
   const SinklessOrientation pi;
@@ -225,17 +274,24 @@ TEST(HierarchyEncoding, InstanceRoundTrip) {
 TEST(Hierarchy, LevelOneIsPlainSinkless) {
   const auto h = build_hierarchy(1, 32, 3);
   EXPECT_EQ(h.levels, 1);
-  const auto det = solve_hierarchy(h, false, 3);
-  const auto rnd = solve_hierarchy(h, true, 3);
+  const auto det = solve_hierarchy(h, det_leaf(), 3);
+  const auto rnd = solve_hierarchy(h, rand_leaf(), 3);
   EXPECT_TRUE(det.leaf_output_sinkless);
   EXPECT_TRUE(rnd.leaf_output_sinkless);
   EXPECT_GT(det.rounds, 0);
 }
 
+TEST(Hierarchy, LeafMustSolveSinklessOrientation) {
+  const auto h = build_hierarchy(2, 8, 1);
+  EXPECT_THROW(
+      solve_hierarchy(h, AlgorithmRegistry::instance().algo("mis", "luby"), 1),
+      RegistryError);
+}
+
 TEST(Hierarchy, LevelTwoSolvesAndStretches) {
   const auto h = build_hierarchy(2, 16, 5);
   ASSERT_EQ(h.levels, 2);
-  const auto det = solve_hierarchy(h, false, 5);
+  const auto det = solve_hierarchy(h, det_leaf(), 5);
   EXPECT_TRUE(det.leaf_output_sinkless);
   EXPECT_EQ(det.stretch_per_level.size(), 1u);
   // Outer rounds ≈ verifier + leaf * stretch: strictly more than the leaf.
@@ -246,8 +302,8 @@ TEST(Hierarchy, LevelTwoSolvesAndStretches) {
 TEST(Hierarchy, LevelTwoCheckableEndToEnd) {
   const auto h = build_hierarchy(2, 12, 9);
   const auto ids = shuffled_ids(h.top_graph(), 1);
-  const auto res = solve_pi_prime(h.padded.back().instance, det_solver(), ids,
-                                  h.total_nodes());
+  const auto res = solve_pi_prime(h.padded.back().instance, det_leaf().solve,
+                                  ids, h.total_nodes());
   const SinklessOrientation pi;
   EXPECT_TRUE(check_pi_prime(h.padded.back().instance, pi, res.output).ok);
 }
@@ -255,7 +311,7 @@ TEST(Hierarchy, LevelTwoCheckableEndToEnd) {
 TEST(Hierarchy, LevelThreeRoundsCompose) {
   const auto h = build_hierarchy(3, 8, 7);
   ASSERT_EQ(h.levels, 3);
-  const auto det = solve_hierarchy(h, false, 7);
+  const auto det = solve_hierarchy(h, det_leaf(), 7);
   EXPECT_TRUE(det.leaf_output_sinkless);
   EXPECT_EQ(det.stretch_per_level.size(), 2u);
   EXPECT_GT(det.rounds, det.leaf_rounds * det.stretch_per_level[1]);
@@ -266,8 +322,8 @@ TEST(Hierarchy, RandomizedBeatsDeterministicAtLevelTwo) {
   // The base must be large enough for the level-1 algorithms to separate
   // (below ~2^8 base nodes both run in a handful of rounds).
   const auto h = build_hierarchy(2, 512, 11);
-  const auto det = solve_hierarchy(h, false, 11);
-  const auto rnd = solve_hierarchy(h, true, 11);
+  const auto det = solve_hierarchy(h, det_leaf(), 11);
+  const auto rnd = solve_hierarchy(h, rand_leaf(), 11);
   EXPECT_TRUE(det.leaf_output_sinkless);
   EXPECT_TRUE(rnd.leaf_output_sinkless);
   EXPECT_LT(rnd.leaf_rounds, det.leaf_rounds);

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "algo/sinkless_det.hpp"
 #include "core/hierarchy.hpp"
 #include "graph/builders.hpp"
 #include "io/serialize.hpp"
@@ -12,13 +11,9 @@
 namespace padlock {
 namespace {
 
-InnerSolver det_solver() {
-  return [](const Graph& g, const IdMap& vids, const NeLabeling&,
-            std::size_t nk) {
-    const auto r = sinkless_orientation_det(g, vids, nk);
-    return InnerSolveResult{orientation_to_labeling(g, r.tails),
-                            r.report.rounds};
-  };
+const AlgoSpec& det_leaf() {
+  return AlgorithmRegistry::instance().algo("sinkless-orientation",
+                                            "short-cycle-det");
 }
 
 // ---- family dispatch ------------------------------------------------------------
@@ -30,7 +25,7 @@ TEST(FamilyDispatch, TreeOutputRejectedUnderPathFamilyTag) {
   const Graph base = build::cycle(4);
   PaddedBuild pb = build_padded_instance(base, NeLabeling(base), 2, 3);
   const IdMap ids = shuffled_ids(pb.instance.graph, 3);
-  const auto res = solve_pi_prime(pb.instance, det_solver(), ids,
+  const auto res = solve_pi_prime(pb.instance, det_leaf().solve, ids,
                                   pb.instance.graph.num_nodes());
   const SinklessOrientation pi;
   ASSERT_TRUE(check_pi_prime(pb.instance, pi, res.output).ok);
@@ -44,7 +39,7 @@ TEST(FamilyDispatch, PathOutputRejectedUnderTreeFamilyTag) {
   const Graph base = build::cycle(4);
   PaddedBuild pb = build_padded_instance_path(base, NeLabeling(base), 2, 3);
   const IdMap ids = shuffled_ids(pb.instance.graph, 4);
-  const auto res = solve_pi_prime(pb.instance, det_solver(), ids,
+  const auto res = solve_pi_prime(pb.instance, det_leaf().solve, ids,
                                   pb.instance.graph.num_nodes());
   const SinklessOrientation pi;
   ASSERT_TRUE(check_pi_prime(pb.instance, pi, res.output).ok);
@@ -63,7 +58,7 @@ TEST(FamilyDispatch, SolverTreatsMislabeledGadgetsAsInvalid) {
   PaddedInstance mislabeled = pb.instance;
   mislabeled.family = GadgetFamilyKind::kTree;
   const IdMap ids = shuffled_ids(mislabeled.graph, 5);
-  const auto res = solve_pi_prime(mislabeled, det_solver(), ids,
+  const auto res = solve_pi_prime(mislabeled, det_leaf().solve, ids,
                                   mislabeled.graph.num_nodes());
   EXPECT_EQ(res.virtual_nodes, 0u);
   const SinklessOrientation pi;
@@ -167,7 +162,7 @@ TEST(PathPortFaults, DanglingPortGetsPortErr1) {
 
   const IdMap ids = shuffled_ids(cut.graph, 6);
   const auto res =
-      solve_pi_prime(cut, det_solver(), ids, cut.graph.num_nodes());
+      solve_pi_prime(cut, det_leaf().solve, ids, cut.graph.num_nodes());
   EXPECT_EQ(res.output.port_status[pu], kPortErr2);
   EXPECT_EQ(res.output.port_status[pv], kPortErr2);
   const SinklessOrientation pi;

@@ -18,26 +18,18 @@
 // Deliberate changes regenerate both fixtures with PADLOCK_REGEN_GOLDEN=1.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "core/graph_cache.hpp"
 #include "core/runner.hpp"
 #include "io/dot.hpp"
 #include "store/pg.hpp"
+#include "golden.hpp"
 
 namespace padlock {
 namespace {
 
-#ifndef PADLOCK_TEST_DATA_DIR
-#error "PADLOCK_TEST_DATA_DIR must point at tests/data (set by CMake)"
-#endif
-
-std::string data_path(const std::string& name) {
-  return std::string(PADLOCK_TEST_DATA_DIR) + "/" + name;
-}
+using golden::data_path;
 
 // The family name embeds an absolute path that differs per checkout; the
 // golden fixture stores the normalized basename form instead.
@@ -70,10 +62,10 @@ void normalize(SweepOutcome& outcome) {
 TEST(FileFamilyGolden, CommittedPgReloadsToTheCommittedTextSample) {
   const Graph from_text = store::load_graph_file(data_path("p2p-sample.txt"));
 
-  if (std::getenv("PADLOCK_REGEN_GOLDEN") != nullptr) {
-    store::write_pg(data_path("p2p-sample.pg"), from_text);
-    GTEST_SKIP() << "regenerated " << data_path("p2p-sample.pg");
-  }
+  if (golden::regenerated(data_path("p2p-sample.pg"), [&] {
+        store::write_pg(data_path("p2p-sample.pg"), from_text);
+      }))
+    return;
 
   const Graph from_pg = store::load_pg(data_path("p2p-sample.pg"));
   ASSERT_EQ(from_pg.num_nodes(), from_text.num_nodes());
@@ -111,21 +103,7 @@ TEST(FileFamilyGolden, AllRegisteredPairsMatchTheGoldenMap) {
   const std::string json = to_json(outcome);
   const std::string path = data_path("file_family_golden.json");
 
-  if (std::getenv("PADLOCK_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << json;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing fixture " << path
-                         << " (regenerate with PADLOCK_REGEN_GOLDEN=1)";
-  std::ostringstream fixture;
-  fixture << in.rdbuf();
-  EXPECT_EQ(json, fixture.str())
-      << "file-family reference outputs drifted from the committed map; if "
-         "the change is deliberate, regenerate with PADLOCK_REGEN_GOLDEN=1";
+  golden::expect_matches(path, json);
 }
 
 // ---- execution-mode bit-identity -------------------------------------------

@@ -72,12 +72,9 @@ TEST(PiPrimeAdversary, ErrorFloodOnValidPaddingRejected) {
   const auto ids = shuffled_ids(pb.instance.graph, 1);
   auto res = solve_pi_prime(
       pb.instance,
-      [](const Graph& vg, const IdMap& vids, const NeLabeling&,
-         std::size_t nk) {
-        const auto r = sinkless_orientation_det(vg, vids, nk);
-        return InnerSolveResult{orientation_to_labeling(vg, r.tails),
-                                r.report.rounds};
-      },
+      AlgorithmRegistry::instance()
+          .algo("sinkless-orientation", "short-cycle-det")
+          .solve,
       ids, pb.instance.graph.num_nodes());
   const SinklessOrientation pi;
   ASSERT_TRUE(check_pi_prime(pb.instance, pi, res.output).ok);
@@ -96,14 +93,15 @@ TEST(PiPrimeAdversary, UnsolvedInnerProblemRejected) {
   const auto ids = shuffled_ids(pb.instance.graph, 2);
   auto res = solve_pi_prime(
       pb.instance,
-      [](const Graph& vg, const IdMap&, const NeLabeling&, std::size_t) {
+      [](const RunContext& ctx) {
         // A lazy "solver": everything In — every virtual node is a sink.
+        const Graph& vg = ctx.graph;
         NeLabeling out(vg);
         for (EdgeId e = 0; e < vg.num_edges(); ++e) {
           out.half[HalfEdge{e, 0}] = SinklessOrientation::kIn;
           out.half[HalfEdge{e, 1}] = SinklessOrientation::kIn;
         }
-        return InnerSolveResult{out, 0};
+        return AlgoResult{.output = out, .rounds = {}, .stats = {}};
       },
       ids, pb.instance.graph.num_nodes());
   const SinklessOrientation pi;
@@ -116,8 +114,10 @@ TEST(Integration, HierarchyFullyReproducible) {
   const auto h1 = build_hierarchy(2, 32, 77);
   const auto h2 = build_hierarchy(2, 32, 77);
   EXPECT_EQ(h1.total_nodes(), h2.total_nodes());
-  const auto a = solve_hierarchy(h1, true, 5);
-  const auto b = solve_hierarchy(h2, true, 5);
+  const AlgoSpec& leaf = AlgorithmRegistry::instance().algo(
+      "sinkless-orientation", "propose-repair");
+  const auto a = solve_hierarchy(h1, leaf, 5);
+  const auto b = solve_hierarchy(h2, leaf, 5);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.leaf_rounds, b.leaf_rounds);
 }

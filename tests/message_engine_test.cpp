@@ -31,8 +31,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <new>
 #include <sstream>
@@ -51,6 +49,7 @@
 #include "local/wake_calendar.hpp"
 #include "support/check.hpp"
 #include "support/thread_pool.hpp"
+#include "golden.hpp"
 
 // ---- allocation-counting hook ----------------------------------------------
 
@@ -77,10 +76,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace padlock {
 namespace {
-
-#ifndef PADLOCK_TEST_DATA_DIR
-#error "PADLOCK_TEST_DATA_DIR must point at tests/data (set by CMake)"
-#endif
 
 class EngineTest : public ::testing::Test {
  protected:
@@ -141,46 +136,27 @@ void compute_fingerprints(std::vector<GoldenRow>& rows) {
   }
 }
 
-std::string golden_path() {
-  return std::string(PADLOCK_TEST_DATA_DIR) + "/engine_golden.json";
-}
-
 std::string render_golden(const std::vector<GoldenRow>& rows) {
-  std::ostringstream out;
-  out << "{\"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const GoldenRow& r = rows[i];
+  std::vector<std::string> lines;
+  for (const GoldenRow& r : rows) {
     char fp[32];
     std::snprintf(fp, sizeof fp, "%016llx",
                   static_cast<unsigned long long>(r.fingerprint));
-    out << (i == 0 ? "" : ",\n") << "{\"problem\": \"" << r.problem
-        << "\", \"algo\": \"" << r.algo << "\", \"family\": \"" << r.family
-        << "\", \"nodes\": " << r.nodes << ", \"seed\": " << r.seed
-        << ", \"fingerprint\": \"" << fp << "\"}";
+    std::ostringstream line;
+    line << "{\"problem\": \"" << r.problem << "\", \"algo\": \"" << r.algo
+         << "\", \"family\": \"" << r.family << "\", \"nodes\": " << r.nodes
+         << ", \"seed\": " << r.seed << ", \"fingerprint\": \"" << fp << "\"}";
+    lines.push_back(line.str());
   }
-  out << "\n]}\n";
-  return out.str();
+  return golden::rows_json(lines);
 }
 
 TEST_F(EngineTest, GoldenLabelingsMatchCommittedFingerprints) {
   exec_context().threads = 1;
   std::vector<GoldenRow> rows = golden_menu();
   compute_fingerprints(rows);
-  const std::string rendered = render_golden(rows);
-
-  if (std::getenv("PADLOCK_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(golden_path(), std::ios::binary);
-    out << rendered;
-    GTEST_SKIP() << "regenerated " << golden_path();
-  }
-  std::ifstream in(golden_path(), std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing " << golden_path()
-                         << " (run with PADLOCK_REGEN_GOLDEN=1)";
-  std::stringstream committed;
-  committed << in.rdbuf();
-  EXPECT_EQ(committed.str(), rendered)
-      << "engine outputs drifted from the committed golden labelings; if "
-         "deliberate, regenerate with PADLOCK_REGEN_GOLDEN=1";
+  golden::expect_matches(golden::data_path("engine_golden.json"),
+                         render_golden(rows));
 }
 
 // ---- propose-accept matching is maximal -----------------------------------
@@ -231,7 +207,7 @@ std::vector<std::string> reference_map_lines() {
         {fam, std::make_shared<const Graph>(build::family(fam, 192, 3, 13))});
   }
   const std::string sample =
-      std::string(PADLOCK_TEST_DATA_DIR) + "/p2p-sample.txt";
+      golden::data_path("p2p-sample.txt");
   instances.push_back({"file:p2p-sample",
                        GraphCache::instance().get_or_build(
                            "file:" + sample, 0, 0, 0)});
@@ -264,27 +240,8 @@ std::vector<std::string> reference_map_lines() {
 
 TEST_F(EngineTest, ReferenceMapMatchesCommittedOutputs) {
   const std::vector<std::string> lines = reference_map_lines();
-  const std::string path =
-      std::string(PADLOCK_TEST_DATA_DIR) + "/engine_reference_map.json";
-  if (std::getenv("PADLOCK_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary);
-    out << "{\"rows\": [\n";
-    for (std::size_t i = 0; i < lines.size(); ++i)
-      out << lines[i] << (i + 1 < lines.size() ? ",\n" : "\n");
-    out << "]}\n";
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing " << path;
-  std::vector<std::string> committed;
-  for (std::string line; std::getline(in, line);) {
-    if (line.rfind("{\"pair\"", 0) != 0) continue;  // framing lines
-    if (line.back() == ',') line.pop_back();
-    committed.push_back(line);
-  }
-  ASSERT_EQ(committed.size(), lines.size());
-  for (std::size_t i = 0; i < lines.size(); ++i)
-    EXPECT_EQ(lines[i], committed[i]) << "reference-map entry " << i;
+  const std::string path = golden::data_path("engine_reference_map.json");
+  golden::expect_matches(path, golden::rows_json(lines));
 }
 
 // ---- serial ≡ parallel on engine-driven pairs ------------------------------

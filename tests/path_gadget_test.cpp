@@ -2,8 +2,6 @@
 
 #include <functional>
 
-#include "algo/sinkless_det.hpp"
-#include "algo/sinkless_rand.hpp"
 #include "core/hierarchy.hpp"
 #include "gadget/path_psi.hpp"
 #include "graph/builders.hpp"
@@ -12,6 +10,10 @@
 
 namespace padlock {
 namespace {
+
+const AlgoSpec& sinkless_leaf(const char* algo) {
+  return AlgorithmRegistry::instance().algo("sinkless-orientation", algo);
+}
 
 // ---- builder ------------------------------------------------------------------
 
@@ -316,13 +318,9 @@ TEST(PathPadding, BuildAndSolveSinklessOnPathPaddedGraph) {
             base.num_nodes() * path_gadget_size(3, 5));
 
   const IdMap ids = shuffled_ids(pb.instance.graph, 5);
-  const InnerSolver det = [](const Graph& g, const IdMap& vids,
-                             const NeLabeling&, std::size_t nk) {
-    const auto r = sinkless_orientation_det(g, vids, nk);
-    return InnerSolveResult{orientation_to_labeling(g, r.tails), r.report.rounds};
-  };
-  const auto res = solve_pi_prime(pb.instance, det, ids,
-                                  pb.instance.graph.num_nodes());
+  const auto res =
+      solve_pi_prime(pb.instance, sinkless_leaf("short-cycle-det").solve, ids,
+                     pb.instance.graph.num_nodes());
   EXPECT_EQ(res.virtual_nodes, base.num_nodes());
   EXPECT_EQ(res.virtual_edges, base.num_edges());
   // Path gadgets stretch by Θ(gadget diameter) = Θ(2 * length).
@@ -339,13 +337,9 @@ TEST(PathPadding, RandomizedLeafAlsoValid) {
   const PaddedBuild pb =
       build_padded_instance_path(base, NeLabeling(base), 3, 4);
   const IdMap ids = shuffled_ids(pb.instance.graph, 6);
-  const InnerSolver rnd = [](const Graph& g, const IdMap& vids,
-                             const NeLabeling&, std::size_t nk) {
-    const auto r = sinkless_orientation_rand(g, vids, nk, 99);
-    return InnerSolveResult{orientation_to_labeling(g, r.tails), r.rounds};
-  };
-  const auto res = solve_pi_prime(pb.instance, rnd, ids,
-                                  pb.instance.graph.num_nodes());
+  const auto res =
+      solve_pi_prime(pb.instance, sinkless_leaf("propose-repair").solve, ids,
+                     pb.instance.graph.num_nodes(), 99);
   const SinklessOrientation pi;
   EXPECT_TRUE(check_pi_prime(pb.instance, pi, res.output).ok);
 }
@@ -359,13 +353,9 @@ TEST(PathPadding, CorruptedGadgetQuarantined) {
       pb.instance.gadget.index[inside] == 1 ? 2 : 1;
 
   const IdMap ids = shuffled_ids(pb.instance.graph, 7);
-  const InnerSolver det = [](const Graph& g, const IdMap& vids,
-                             const NeLabeling&, std::size_t nk) {
-    const auto r = sinkless_orientation_det(g, vids, nk);
-    return InnerSolveResult{orientation_to_labeling(g, r.tails), r.report.rounds};
-  };
-  const auto res = solve_pi_prime(pb.instance, det, ids,
-                                  pb.instance.graph.num_nodes());
+  const auto res =
+      solve_pi_prime(pb.instance, sinkless_leaf("short-cycle-det").solve, ids,
+                     pb.instance.graph.num_nodes());
   // One gadget dropped from the virtual graph.
   EXPECT_EQ(res.virtual_nodes, base.num_nodes() - 1);
   const SinklessOrientation pi;
@@ -396,10 +386,10 @@ TEST(PathHierarchy, EncodeDecodeCarriesFamily) {
 TEST(PathHierarchy, TwoLevelSolveDetAndRand) {
   const Hierarchy h = build_path_hierarchy(2, 20, 17);
   EXPECT_EQ(h.padded.back().instance.family, GadgetFamilyKind::kPath);
-  const auto det = solve_hierarchy(h, false, 3);
+  const auto det = solve_hierarchy(h, sinkless_leaf("short-cycle-det"), 3);
   EXPECT_TRUE(det.leaf_output_sinkless);
   EXPECT_GT(det.rounds, det.leaf_rounds);
-  const auto rnd = solve_hierarchy(h, true, 4);
+  const auto rnd = solve_hierarchy(h, sinkless_leaf("propose-repair"), 4);
   EXPECT_TRUE(rnd.leaf_output_sinkless);
   // Path stretch is the gadget diameter, far above the tree family's log.
   EXPECT_GE(det.stretch_per_level[0], 5);
@@ -407,7 +397,7 @@ TEST(PathHierarchy, TwoLevelSolveDetAndRand) {
 
 TEST(PathHierarchy, ThreeLevelSolveStillValid) {
   const Hierarchy h = build_path_hierarchy(3, 8, 23);
-  const auto det = solve_hierarchy(h, false, 5);
+  const auto det = solve_hierarchy(h, sinkless_leaf("short-cycle-det"), 5);
   EXPECT_TRUE(det.leaf_output_sinkless);
   EXPECT_EQ(h.padded.size(), 2u);
   EXPECT_EQ(h.padded[0].instance.family, GadgetFamilyKind::kPath);

@@ -144,10 +144,15 @@ TEST_P(SeedTest, RandomHalfCorruptionCaught) {
 
 // ---- Hierarchy round accounting sanity ----------------------------------
 
+const AlgoSpec& det_leaf() {
+  return AlgorithmRegistry::instance().algo("sinkless-orientation",
+                                            "short-cycle-det");
+}
+
 TEST(HierarchyProperty, RoundsLowerBoundedByStretchTimesLeaf) {
   for (std::uint64_t seed : {1ull, 2ull}) {
     const auto h = build_hierarchy(2, 64, seed);
-    const auto res = solve_hierarchy(h, false, seed);
+    const auto res = solve_hierarchy(h, det_leaf(), seed);
     ASSERT_EQ(res.stretch_per_level.size(), 1u);
     EXPECT_GE(res.rounds, res.leaf_rounds * res.stretch_per_level[0]);
   }
@@ -155,8 +160,8 @@ TEST(HierarchyProperty, RoundsLowerBoundedByStretchTimesLeaf) {
 
 TEST(HierarchyProperty, DeterministicReproducible) {
   const auto h = build_hierarchy(2, 32, 9);
-  const auto a = solve_hierarchy(h, false, 5);
-  const auto b = solve_hierarchy(h, false, 5);
+  const auto a = solve_hierarchy(h, det_leaf(), 5);
+  const auto b = solve_hierarchy(h, det_leaf(), 5);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.leaf_rounds, b.leaf_rounds);
 }

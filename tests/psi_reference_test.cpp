@@ -24,14 +24,11 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "algo/sinkless_det.hpp"
 #include "core/hierarchy.hpp"
 #include "core/padded_graph.hpp"
 #include "core/pi_prime.hpp"
@@ -42,13 +39,10 @@
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
+#include "golden.hpp"
 
 namespace padlock {
 namespace {
-
-#ifndef PADLOCK_TEST_DATA_DIR
-#error "PADLOCK_TEST_DATA_DIR must point at tests/data (set by CMake)"
-#endif
 
 /// FNV-1a over a stream of integers.
 struct Digest {
@@ -302,13 +296,10 @@ std::string bulk_line(const std::string& name, const GadgetInstance& base,
 
 // ---- Π' solves -------------------------------------------------------------
 
-InnerSolver det_solver() {
-  return [](const Graph& g, const IdMap& ids, const NeLabeling&,
-            std::size_t n_known) {
-    const auto res = sinkless_orientation_det(g, ids, n_known);
-    return InnerSolveResult{orientation_to_labeling(g, res.tails),
-                            res.report.rounds};
-  };
+const AlgoSpec& sinkless_leaf(bool randomized) {
+  return AlgorithmRegistry::instance().algo(
+      "sinkless-orientation",
+      randomized ? "propose-repair" : "short-cycle-det");
 }
 
 /// Redraws `count` GadEdge half labels of a padded instance.
@@ -348,7 +339,8 @@ std::vector<SolveCase> solve_cases() {
                  const Hierarchy h =
                      path_family ? build_path_hierarchy(levels, base_nodes, 1)
                                  : build_hierarchy(levels, base_nodes, 1);
-                 return hierarchy_print(solve_hierarchy(h, randomized, 7));
+                 return hierarchy_print(
+                     solve_hierarchy(h, sinkless_leaf(randomized), 7));
                }});
     for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
       out.push_back(
@@ -363,8 +355,9 @@ std::vector<SolveCase> solve_cases() {
                  corrupted(pb.instance, seed, static_cast<int>(seed) + 1);
              const IdMap ids = shuffled_ids(inst.graph, seed);
              return refused_or([&] {
-               return pi_prime_print(solve_pi_prime(inst, det_solver(), ids,
-                                                    inst.graph.num_nodes()));
+               return pi_prime_print(
+                   solve_pi_prime(inst, sinkless_leaf(false).solve, ids,
+                                  inst.graph.num_nodes()));
              });
            }});
     }
@@ -385,8 +378,7 @@ struct ThreadsGuard {
 TEST(PsiReference, VerifiersAndSolvesMatchCommittedFingerprints) {
   const std::vector<VerifierCase> vcases = verifier_cases();
   const std::vector<SolveCase> scases = solve_cases();
-  const std::string path =
-      std::string(PADLOCK_TEST_DATA_DIR) + "/psi_reference_map.json";
+  const std::string path = golden::data_path("psi_reference_map.json");
   ThreadsGuard guard;
   std::vector<std::string> lines;
   for (const auto& c : vcases) lines.push_back(verifier_line(c));
@@ -395,25 +387,7 @@ TEST(PsiReference, VerifiersAndSolvesMatchCommittedFingerprints) {
   lines.push_back(
       bulk_line("path/sparse/s101-400", build_path_gadget(3, 12), 101, 400));
   for (const auto& c : scases) lines.push_back(solve_line(c));
-  if (std::getenv("PADLOCK_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary);
-    out << "{\"rows\": [\n";
-    for (std::size_t i = 0; i < lines.size(); ++i)
-      out << lines[i] << (i + 1 < lines.size() ? ",\n" : "\n");
-    out << "]}\n";
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing " << path;
-  std::vector<std::string> committed;
-  for (std::string line; std::getline(in, line);) {
-    if (line.rfind("{\"case\"", 0) != 0) continue;  // framing lines
-    if (line.back() == ',') line.pop_back();
-    committed.push_back(line);
-  }
-  ASSERT_EQ(committed.size(), lines.size());
-  for (std::size_t i = 0; i < lines.size(); ++i)
-    EXPECT_EQ(lines[i], committed[i]) << "psi reference entry " << i;
+  golden::expect_matches(path, golden::rows_json(lines));
 }
 
 }  // namespace

@@ -10,8 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,13 +17,10 @@
 #include "core/runner.hpp"
 #include "graph/builders.hpp"
 #include "local/fingerprint.hpp"
+#include "golden.hpp"
 
 namespace padlock {
 namespace {
-
-#ifndef PADLOCK_TEST_DATA_DIR
-#error "PADLOCK_TEST_DATA_DIR must point at tests/data (set by CMake)"
-#endif
 
 std::string hex64(std::uint64_t x) {
   char buf[24];
@@ -73,27 +68,8 @@ std::vector<std::string> scale_golden_lines() {
 
 TEST(ScaleGolden, BallSearchSolversMatchCommittedOutputs) {
   const std::vector<std::string> lines = scale_golden_lines();
-  const std::string path =
-      std::string(PADLOCK_TEST_DATA_DIR) + "/scale_golden.json";
-  if (std::getenv("PADLOCK_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary);
-    out << "{\"rows\": [\n";
-    for (std::size_t i = 0; i < lines.size(); ++i)
-      out << lines[i] << (i + 1 < lines.size() ? ",\n" : "\n");
-    out << "]}\n";
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing " << path;
-  std::vector<std::string> committed;
-  for (std::string line; std::getline(in, line);) {
-    if (line.rfind("{\"pair\"", 0) != 0) continue;  // framing lines
-    if (line.back() == ',') line.pop_back();
-    committed.push_back(line);
-  }
-  ASSERT_EQ(committed.size(), lines.size());
-  for (std::size_t i = 0; i < lines.size(); ++i)
-    EXPECT_EQ(lines[i], committed[i]) << "scale-golden entry " << i;
+  const std::string path = golden::data_path("scale_golden.json");
+  golden::expect_matches(path, golden::rows_json(lines));
 }
 
 }  // namespace

@@ -9,25 +9,15 @@
 // fixture with PADLOCK_REGEN_GOLDEN=1.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "core/graph_cache.hpp"
 #include "core/runner.hpp"
 #include "support/thread_pool.hpp"
+#include "golden.hpp"
 
 namespace padlock {
 namespace {
-
-#ifndef PADLOCK_TEST_DATA_DIR
-#error "PADLOCK_TEST_DATA_DIR must point at tests/data (set by CMake)"
-#endif
-
-std::string golden_path() {
-  return std::string(PADLOCK_TEST_DATA_DIR) + "/sweep_golden.json";
-}
 
 // The pinned plan: two pairs × three menu entries, one of them a duplicate
 // (so the cache-hit field is nonzero) and one skipping a pair (so the
@@ -62,21 +52,7 @@ TEST(SweepJson, MatchesCommittedGoldenSnapshot) {
   normalize_walls(outcome);
   const std::string json = to_json(outcome);
 
-  if (std::getenv("PADLOCK_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(golden_path(), std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << golden_path();
-    out << json;
-    GTEST_SKIP() << "regenerated " << golden_path();
-  }
-
-  std::ifstream in(golden_path(), std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing fixture " << golden_path()
-                         << " (regenerate with PADLOCK_REGEN_GOLDEN=1)";
-  std::ostringstream fixture;
-  fixture << in.rdbuf();
-  EXPECT_EQ(json, fixture.str())
-      << "sweep JSON drifted from the committed fixture; if the change is "
-         "deliberate, regenerate with PADLOCK_REGEN_GOLDEN=1";
+  golden::expect_matches(golden::data_path("sweep_golden.json"), json);
 }
 
 TEST(SweepCache, ColdRunBitIdenticalToWarmAndThreaded) {
