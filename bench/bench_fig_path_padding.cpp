@@ -59,7 +59,7 @@ Run run_family(const Graph& base, bool path_family, int delta,
   run.nodes = n;
   const auto det = solve_pi_prime(
       pb.instance,
-      registry.algo("sinkless-orientation", "short-cycle-det").solve, ids, n);
+      registry.algo("sinkless-orientation", "short-cycle-det"), ids, n);
   run.det = det.report.rounds;
   run.stretch = det.stretch;
   const SinklessOrientation pi;
@@ -69,7 +69,7 @@ Run run_family(const Graph& base, bool path_family, int delta,
   for (int s = 0; s < kSeeds; ++s) {
     const auto rnd = solve_pi_prime(
         pb.instance,
-        registry.algo("sinkless-orientation", "propose-repair").solve, ids, n,
+        registry.algo("sinkless-orientation", "propose-repair"), ids, n,
         77 + 13 * s);
     PADLOCK_REQUIRE(check_pi_prime(pb.instance, pi, rnd.output).ok);
     run.rnd += rnd.report.rounds;

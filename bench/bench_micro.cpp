@@ -45,7 +45,6 @@
 #include "lcl/problems/sinkless_orientation.hpp"
 #include "store/pg.hpp"
 #include "support/parse.hpp"
-#include "local/engine.hpp"
 #include "local/message_engine.hpp"
 #include "support/table.hpp"
 
@@ -88,30 +87,6 @@ struct GeometricHalt {
 // so the pool may run them concurrently.
 std::vector<ScenarioTask> substrate_scenarios(int engine_max_exp) {
   std::vector<ScenarioTask> tasks;
-  // The strict gather hot path through the flat-ball engine: a radius-2
-  // rule at two sizes. These rows are what the CI bench-regression gate
-  // watches — this is the path the epoch-stamped BallScratch took from
-  // hash-map materialization to flat slab scans.
-  for (const std::size_t n : {std::size_t{1} << 12, std::size_t{1} << 14}) {
-    const auto g = GraphCache::instance().get_or_build("regular", n, 3, 13);
-    tasks.push_back(
-        {"gather/strict/r2/n=" + std::to_string(n), [g](SweepRow& row) {
-           NodeMap<std::uint64_t> sink(*g, 0);  // per-node slots only
-           const RoundReport rep =
-               run_gather(*g, [&](LocalView& view, NodeId v) {
-                 view.extend(2);
-                 std::uint64_t acc = 0;
-                 for (int p = 0; p < view.degree(v); ++p) {
-                   const NodeId w = view.neighbor(v, p);
-                   for (int q = 0; q < view.degree(w); ++q)
-                     acc += view.neighbor(w, q);
-                 }
-                 sink[v] = acc;
-               });
-           row.nodes = g->num_nodes();
-           row.rounds = rep.rounds;
-         }});
-  }
   // The message-engine size ramp (cycle + regular + the real-graph file
   // sample): the engine-bound geometric-halt rule plus the two deepest
   // migrated state machines (Luby, propose-accept matching) at

@@ -5,8 +5,8 @@ produced the same sweep rows as the baseline (serial) run.
 Wall-clock fields differ by design; what must be identical row by row is
 the workload identity (problem, algo, family, nodes, edges) and the
 deterministic outcome fields (status, rounds). A mismatch means a pooled
-execution path (the engine's pooled phases, run_gather, check_ne_lcl,
-run_batch) diverged from the serial one — exactly the bit-identity
+execution path (the engine's pooled phases, check_ne_lcl, run_batch)
+diverged from the serial one — exactly the bit-identity
 contract the thread pool promises.
 
 Any number of variants can be gated against one baseline, each compared

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   const AlgoSpec& det =
       registry.algo("sinkless-orientation", "short-cycle-det");
   const AlgoSpec& rnd = registry.algo("sinkless-orientation", "propose-repair");
-  const auto res = solve_pi_prime(inst, det.solve, ids, h.total_nodes());
+  const auto res = solve_pi_prime(inst, det, ids, h.total_nodes());
   std::printf(
       "Lemma 4 pipeline: verifier %d rounds; contracted to %zu virtual "
       "nodes / %zu virtual edges;\n  inner sinkless solve %d rounds; gadget "

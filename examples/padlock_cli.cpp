@@ -47,6 +47,9 @@
 //   padlock_cli gadget   --delta 3 --height 4 [--fault <name>] [--dot]
 //   padlock_cli pad      --base-nodes 16 --delta 3 --height 3 [--dot] [--dump]
 //   padlock_cli solve    --levels 2 --base-nodes 64 [--rand] [--seed 7]
+//       gadget takes --height >= 2, pad --height >= 3, solve --levels 1..3.
+//       All three predict the node count before they allocate and refuse
+//       (exit 2) anything above kMaxPaddedNodes = 2^23 (core/hierarchy.hpp).
 //   padlock_cli verify   < padded-instance.txt
 //   padlock_cli export   --kind <family> --nodes N [--seed S] [--dot]
 //
@@ -58,6 +61,7 @@
 #include <cstring>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -457,9 +461,22 @@ GadgetFault fault_by_name(const std::string& name) {
   std::exit(2);
 }
 
+// Refuses (UsageError, exit 2) a build predicted above kMaxPaddedNodes,
+// before anything is allocated.
+void admit(const std::string& cmd, std::size_t predicted_nodes) {
+  if (predicted_nodes <= kMaxPaddedNodes) return;
+  const bool saturated =
+      predicted_nodes == std::numeric_limits<std::size_t>::max();
+  throw UsageError(cmd + ": predicted " + (saturated ? "at least " : "") +
+                   std::to_string(predicted_nodes) +
+                   " nodes, above the admission bound kMaxPaddedNodes = " +
+                   std::to_string(kMaxPaddedNodes) + " (2^23)");
+}
+
 int cmd_gadget(const Args& a) {
   const int delta = static_cast<int>(a.num("delta", 3, 1, 64));
-  const int height = static_cast<int>(a.num("height", 4, 1, 64));
+  const int height = static_cast<int>(a.num("height", 4, 2, 64));
+  admit("gadget", gadget_size(delta, height));
   GadgetInstance inst = build_gadget(delta, height);
   if (a.flag("fault")) {
     inst = inject_fault(inst, fault_by_name(a.str("fault", "")),
@@ -481,10 +498,11 @@ int cmd_gadget(const Args& a) {
 int cmd_pad(const Args& a) {
   std::size_t base_nodes = static_cast<std::size_t>(a.num("base-nodes", 16, 1, 1LL << 26));
   const int delta = static_cast<int>(a.num("delta", 3, 1, 64));
-  const int height = static_cast<int>(a.num("height", 3, 1, 64));
+  const int height = static_cast<int>(a.num("height", 3, 3, 64));
   const auto seed = static_cast<std::uint64_t>(a.num("seed", 7, 0, (1LL << 62)));
   // The configuration model needs an even degree sum.
   if ((base_nodes * static_cast<std::size_t>(delta)) % 2 != 0) ++base_nodes;
+  admit("pad", padded_size(base_nodes, delta, height));
   const Graph base = build::random_regular(base_nodes, delta, seed);
   const NeLabeling base_input(base);
   const PaddedBuild pb = build_padded_instance(base, base_input, delta, height);
@@ -503,11 +521,13 @@ int cmd_pad(const Args& a) {
 }
 
 int cmd_solve(const Args& a) {
-  const int levels = static_cast<int>(a.num("levels", 2, 1, 64));
+  // A Π_4 label does not fit encode_padded_node's deeper-layer bits.
+  const int levels = static_cast<int>(a.num("levels", 2, 1, 3));
   const std::size_t base_nodes =
       static_cast<std::size_t>(a.num("base-nodes", 64, 1, 1LL << 26));
   const auto seed = static_cast<std::uint64_t>(a.num("seed", 7, 0, (1LL << 62)));
   const bool randomized = a.flag("rand");
+  admit("solve", plan_hierarchy(levels, base_nodes).max_nodes);
   const Hierarchy h = build_hierarchy(levels, base_nodes, seed);
   const auto res = solve_hierarchy(
       h,

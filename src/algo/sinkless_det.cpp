@@ -100,18 +100,19 @@ std::optional<int> short_cycle_through(const Graph& g, NodeId v, int budget) {
   b.node[v].dist = 0;
   b.touched.push_back(v);
 
-  // v's own ports, in port order: a self-loop closes a cycle of length 1,
-  // a second edge to the same neighbor one of length 2, and the first of
-  // the two seen decides (a parallel pair on earlier ports than a
-  // self-loop reports 2). Otherwise v's neighbors are distinct and form the
-  // BFS's first layer. A neighbor is marked only when budget >= 2, so
-  // budget 1 never reports 2.
+  // v's own ports: a self-loop closes a cycle of length 1, a second edge
+  // to the same neighbor one of length 2. The scan finishes before it
+  // reports 2, so a self-loop wins wherever it sits in port order.
+  // Otherwise v's neighbors are distinct and form the BFS's first layer. A
+  // neighbor is marked only when budget >= 2, so budget 1 never reports 2.
   int port = 0;
+  bool parallel = false;
   for (const HalfEdge h : g.incident(v)) {
     const NodeId w = g.node_across(h);
     if (w == v) return 1;
-    if (b.node[w].dist == 1) return 2;
-    if (limit >= 1) {
+    if (b.node[w].dist == 1) {
+      parallel = true;
+    } else if (limit >= 1) {
       b.node[w].dist = 1;
       b.node[w].subtree = port;
       b.node[w].via = h.edge;
@@ -119,6 +120,7 @@ std::optional<int> short_cycle_through(const Graph& g, NodeId v, int budget) {
     }
     ++port;
   }
+  if (parallel) return 2;
 
   // Truncated BFS with root-subtree labels: the label of a node is the port
   // (at v) of the tree edge's first hop; v itself has none. A non-tree edge

@@ -35,7 +35,7 @@
 
 #include "graph/graph.hpp"
 #include "graph/labels.hpp"
-#include "local/engine.hpp"
+#include "local/round_report.hpp"
 #include "local/ids.hpp"
 #include "lcl/problems/sinkless_orientation.hpp"
 

@@ -152,19 +152,24 @@ Hierarchy build_levels(
 
 }  // namespace
 
-Hierarchy build_hierarchy(int levels, std::size_t base_nodes,
-                          std::uint64_t seed) {
+HierarchyPlan plan_hierarchy(int levels, std::size_t base_nodes) {
   // Balanced: gadgets of roughly the previous instance's size.
-  std::vector<int> heights;
-  std::size_t prev = base_size(base_nodes);
+  HierarchyPlan plan;
+  plan.max_nodes = base_size(base_nodes);
   int delta = 3;
   for (int lvl = 2; lvl <= levels; ++lvl) {
-    const int h = std::max(3, height_for_gadget_nodes(delta, prev));
-    heights.push_back(h);
-    prev *= gadget_size(delta, h);
+    const int h = std::max(3, height_for_gadget_nodes(delta, plan.max_nodes));
+    plan.heights.push_back(h);
+    plan.max_nodes = padded_size(plan.max_nodes, delta, h);
     delta = 5;  // padded instances have max degree 5
   }
-  return build_hierarchy_with_heights(levels, base_nodes, heights, seed);
+  return plan;
+}
+
+Hierarchy build_hierarchy(int levels, std::size_t base_nodes,
+                          std::uint64_t seed) {
+  return build_hierarchy_with_heights(
+      levels, base_nodes, plan_hierarchy(levels, base_nodes).heights, seed);
 }
 
 Hierarchy build_hierarchy_with_heights(int levels, std::size_t base_nodes,
@@ -209,7 +214,10 @@ AlgoResult solve_level(int level, const AlgoSpec& leaf,
                        const PaddedInstance& inst, const IdMap& ids,
                        std::size_t n_known, std::uint64_t seed,
                        HierarchySolveResult& diag) {
-  const auto inner = [&](const RunContext& ctx) {
+  // At level 2 the virtual graph is the leaf's instance, so the leaf's
+  // precondition applies there.
+  AlgoSpec inner = level == 2 ? leaf : AlgoSpec{};
+  inner.solve = [&](const RunContext& ctx) {
     if (level == 2) return solve_leaf(leaf, ctx, diag);
     return solve_level(level - 1, leaf,
                        decode_padded_instance(ctx.graph, ctx.input), ctx.ids,

@@ -66,6 +66,25 @@ struct Hierarchy {
   }
 };
 
+/// The admission bound of `padlock_cli solve`, `pad` and `gadget`: the
+/// most nodes an instance they build may have. At about 810 B per padded node, 2^23
+/// nodes take about 6.8 GB. It admits Π_2 up to base 2048 (6,287,360
+/// nodes) and Π_3 up to base 32 (at most 3,762,432).
+inline constexpr std::size_t kMaxPaddedNodes = std::size_t{1} << 23;
+
+/// What build_hierarchy(levels, base_nodes, ·) builds, computed without
+/// building it: the gadget height of each padding level (level 2 first)
+/// and an upper bound on the top instance's node count, saturating at
+/// SIZE_MAX. The bound takes every level from 3 on at degree 5, the
+/// padded graphs' maximum, so it is exact for levels <= 2 and can exceed
+/// the built size above (base 4 at three levels: 13,728 predicted, 11,000
+/// built).
+struct HierarchyPlan {
+  std::vector<int> heights;
+  std::size_t max_nodes = 0;
+};
+HierarchyPlan plan_hierarchy(int levels, std::size_t base_nodes);
+
 /// Builds a balanced Π_levels instance over a random cubic base with
 /// `base_nodes` nodes. Each padding level uses gadgets of roughly the
 /// previous instance's size (the Lemma 5 worst case).

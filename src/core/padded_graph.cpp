@@ -1,5 +1,7 @@
 #include "core/padded_graph.hpp"
 
+#include <limits>
+
 #include "gadget/path_gadget.hpp"
 #include "support/check.hpp"
 
@@ -7,6 +9,13 @@ namespace padlock {
 
 int height_for_gadget_nodes(int delta, std::size_t gadget_nodes) {
   return gadget_height_for_size(delta, gadget_nodes);
+}
+
+std::size_t padded_size(std::size_t base_nodes, int delta, int height) {
+  std::size_t nodes = 0;
+  if (__builtin_mul_overflow(base_nodes, gadget_size(delta, height), &nodes))
+    return std::numeric_limits<std::size_t>::max();
+  return nodes;
 }
 
 namespace {

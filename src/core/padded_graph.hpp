@@ -67,6 +67,11 @@ PaddedBuild build_padded_instance_path(const Graph& base,
 /// Gadget height such that each gadget has roughly `gadget_nodes` nodes.
 int height_for_gadget_nodes(int delta, std::size_t gadget_nodes);
 
+/// Node count of build_padded_instance(base, …, delta, height) for a base
+/// of `base_nodes` nodes: base_nodes · gadget_size(delta, height),
+/// saturating at SIZE_MAX. Computed before anything is allocated.
+std::size_t padded_size(std::size_t base_nodes, int delta, int height);
+
 /// The GadEdge-induced subgraph of a padded instance: all padded nodes,
 /// gadget edges only, with the gadget labels carried over. This is the
 /// graph the verifier V runs on (Lemma 4 step 1: "ignore edges labeled

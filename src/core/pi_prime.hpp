@@ -16,14 +16,13 @@
 // free, matching the upper-bound proof's "can be freely chosen".
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "core/padded_graph.hpp"
 #include "core/registry.hpp"
 #include "gadget/ne_refinement.hpp"
 #include "lcl/checker.hpp"
-#include "local/engine.hpp"
+#include "local/round_report.hpp"
 #include "local/ids.hpp"
 
 namespace padlock {
@@ -88,16 +87,16 @@ struct PiPrimeSolveResult {
 };
 
 /// Lemma 4's algorithm: run the gadget verifier, mark ports, contract valid
-/// gadgets into the virtual multigraph, run `solve_pi` on it, and write all
-/// outputs back. `solve_pi` is a registered solver (AlgoSpec::solve); its
-/// RunContext is the virtual graph with the smallest-contained-id virtual
-/// ids, the copied inputs, `seed`, and id_space = n_known (virtual ids are
-/// padded ids). Round accounting: per padded node, the verifier radius plus
-/// (inside valid gadgets) the simulation gather radius
-/// T(Π) * stretch + stretch.
-PiPrimeSolveResult solve_pi_prime(
-    const PaddedInstance& inst,
-    const std::function<AlgoResult(const RunContext&)>& solve_pi,
-    const IdMap& ids, std::size_t n_known, std::uint64_t seed = 1);
+/// gadgets into the virtual multigraph, run the registered algorithm `pi`
+/// on it, and write all outputs back. `pi.precondition` must hold on the
+/// virtual graph (RegistryError otherwise, with run's message; see
+/// require_precondition). `pi.solve` gets a RunContext of the virtual graph
+/// with the smallest-contained-id virtual ids, the copied inputs, `seed`,
+/// and id_space = n_known (virtual ids are padded ids). Round accounting:
+/// per padded node, the verifier radius plus (inside valid gadgets) the
+/// simulation gather radius T(Π) * stretch + stretch.
+PiPrimeSolveResult solve_pi_prime(const PaddedInstance& inst,
+                                  const AlgoSpec& pi, const IdMap& ids,
+                                  std::size_t n_known, std::uint64_t seed = 1);
 
 }  // namespace padlock

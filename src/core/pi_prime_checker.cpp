@@ -2,7 +2,6 @@
 
 #include "core/pi_prime.hpp"
 #include "gadget/path_psi.hpp"
-#include "graph/subgraph.hpp"
 
 namespace padlock {
 

@@ -41,6 +41,16 @@ std::string Stats::str() const {
   return out.str();
 }
 
+void require_precondition(const AlgoSpec& algo, const Graph& g) {
+  if (!algo.precondition || algo.precondition(g)) return;
+  std::ostringstream msg;
+  msg << "graph violates the precondition of " << algo.problem << '/'
+      << algo.name;
+  if (!algo.requires_text.empty()) msg << " (requires " << algo.requires_text
+                                       << ")";
+  throw RegistryError(msg.str());
+}
+
 std::string_view determinism_name(Determinism d) {
   return d == Determinism::kDeterministic ? "det" : "rand";
 }

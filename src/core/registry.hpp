@@ -37,7 +37,7 @@
 #include "graph/labels.hpp"
 #include "lcl/checker.hpp"
 #include "lcl/ne_lcl.hpp"
-#include "local/engine.hpp"
+#include "local/round_report.hpp"
 #include "local/ids.hpp"
 
 namespace padlock {
@@ -122,6 +122,12 @@ struct AlgoSpec {
 
   std::function<AlgoResult(const RunContext&)> solve;
 };
+
+/// Throws RegistryError ("graph violates the precondition of
+/// <problem>/<algo> (requires …)") when `g` fails `algo.precondition`.
+/// Both `run` and Lemma 4's solve_pi_prime (on its virtual graph) refuse
+/// through it.
+void require_precondition(const AlgoSpec& algo, const Graph& g);
 
 class AlgorithmRegistry {
  public:

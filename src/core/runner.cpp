@@ -99,14 +99,7 @@ SolveOutcome run_with_ids(const ProblemSpec& problem, const AlgoSpec& algo,
     throw RegistryError("algorithm '" + algo.name + "' solves '" +
                         algo.problem + "', not '" + problem.name + "'");
   }
-  if (algo.precondition && !algo.precondition(g)) {
-    std::ostringstream msg;
-    msg << "graph violates the precondition of " << problem.name << '/'
-        << algo.name;
-    if (!algo.requires_text.empty()) msg << " (requires " << algo.requires_text
-                                         << ")";
-    throw RegistryError(msg.str());
-  }
+  require_precondition(algo, g);
   PADLOCK_REQUIRE(ids_valid(g, ids));
   return solve_and_verify(problem, algo, g, ids, id_space, opts);
 }

@@ -6,10 +6,9 @@
 
 namespace padlock {
 
-PiPrimeSolveResult solve_pi_prime(
-    const PaddedInstance& inst,
-    const std::function<AlgoResult(const RunContext&)>& solve_pi,
-    const IdMap& ids, std::size_t n_known, std::uint64_t seed) {
+PiPrimeSolveResult solve_pi_prime(const PaddedInstance& inst,
+                                  const AlgoSpec& pi, const IdMap& ids,
+                                  std::size_t n_known, std::uint64_t seed) {
   const Graph& g = inst.graph;
   const int delta = inst.gadget.delta;
   PADLOCK_REQUIRE(ids_valid(g, ids));
@@ -160,7 +159,8 @@ PiPrimeSolveResult solve_pi_prime(
     }
 
     // ---- Step 4: solve Π on the virtual graph. ----
-    const AlgoResult inner = solve_pi(RunContext{.graph = vgraph,
+    require_precondition(pi, vgraph);
+    const AlgoResult inner = pi.solve(RunContext{.graph = vgraph,
                                                  .ids = vids,
                                                  .id_space = n_known,
                                                  .seed = seed,

@@ -1,5 +1,8 @@
 #include "gadget/gadget.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <limits>
 #include <unordered_map>
 
 #include "algo/color_reduce.hpp"
@@ -32,15 +35,25 @@ std::string half_label_name(int label) {
 
 std::size_t gadget_size(int delta, int height) {
   PADLOCK_REQUIRE(delta >= 1 && height >= 1);
-  return static_cast<std::size_t>(delta) *
-             ((std::size_t{1} << height) - 1) +
-         1;
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  if (height >= std::numeric_limits<std::size_t>::digits) return kMax;
+  std::size_t body = 0;
+  if (__builtin_mul_overflow(static_cast<std::size_t>(delta),
+                             (std::size_t{1} << height) - 1, &body) ||
+      body == kMax)
+    return kMax;
+  return body + 1;
 }
 
 int gadget_height_for_size(int delta, std::size_t target_nodes) {
-  int h = 2;
-  while (gadget_size(delta, h) < target_nodes) ++h;
-  return h;
+  PADLOCK_REQUIRE(delta >= 1);
+  // delta * (2^h - 1) + 1 >= target  <=>  2^h - 1 >= ceil((target - 1) /
+  // delta)  <=>  h >= bit_width of that quotient: a closed form, so no
+  // size is computed and any target terminates (at most 64).
+  const std::size_t rest = target_nodes > 1 ? target_nodes - 1 : 0;
+  const std::size_t per_sub = rest / static_cast<std::size_t>(delta) +
+                              (rest % static_cast<std::size_t>(delta) != 0);
+  return std::max(2, static_cast<int>(std::bit_width(per_sub)));
 }
 
 GadgetInstance build_gadget(int delta, int height) {

@@ -79,10 +79,12 @@ struct GadgetInstance {
 };
 
 /// Number of nodes of a gadget with `delta` sub-gadgets of height h:
-/// delta * (2^h - 1) + 1.
+/// delta * (2^h - 1) + 1, saturating at SIZE_MAX (no such gadget fits in
+/// memory).
 std::size_t gadget_size(int delta, int height);
 
-/// Smallest height whose gadget size is >= target_nodes.
+/// Smallest height >= 2 whose gadget size is >= target_nodes; at most 64
+/// for any target.
 int gadget_height_for_size(int delta, std::size_t target_nodes);
 
 /// Builds a valid gadget: Δ sub-gadgets of height `height` (>= 2) plus the

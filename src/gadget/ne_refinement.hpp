@@ -48,7 +48,7 @@
 #include <array>
 
 #include "gadget/psi.hpp"
-#include "local/engine.hpp"
+#include "local/round_report.hpp"
 
 namespace padlock {
 

@@ -44,7 +44,7 @@
 #include "gadget/path_gadget.hpp"
 #include "gadget/psi.hpp"
 #include "gadget/verifier.hpp"
-#include "local/engine.hpp"
+#include "local/round_report.hpp"
 
 namespace padlock {
 

@@ -16,7 +16,7 @@
 #pragma once
 
 #include "gadget/psi.hpp"
-#include "local/engine.hpp"
+#include "local/round_report.hpp"
 
 namespace padlock {
 

@@ -532,7 +532,7 @@ Graph family(const std::string& name, std::size_t n, int degree,
     while (((std::size_t{1} << height) - 1) < n) ++height;
     return complete_binary_tree(height);
   }
-  if (name == "torus") return torus(n / 8 > 0 ? n / 8 : 1, 8);
+  if (name == "torus") return torus(n / 8 + (n % 8 != 0 ? 1 : 0), 8);
   if (name == "regular" || name == "cubic-simple") {
     const int d = name == "regular" ? degree : 3;
     return random_regular_simple(regular_n(n, d), d, seed);

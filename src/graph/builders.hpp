@@ -91,7 +91,7 @@ Graph random_bounded_degree_simple(std::size_t n, int max_deg, double density,
 ///   multigraph   `degree`-regular configuration model (loops/parallels ok)
 ///   path         n-path
 ///   regular      `degree`-regular simple graph
-///   torus        toroidal grid, ~n nodes, 4-regular
+///   torus        toroidal grid with 8 columns, 4-regular: 8·⌈n/8⌉ nodes
 ///   tree         complete binary tree with >= n nodes (2^h - 1)
 /// plus the legacy CLI aliases cubic (= multigraph, d=3) and cubic-simple
 /// (= regular, d=3).

@@ -1,6 +1,6 @@
 // Thread-pooled execution substrate for the batched runner stack.
 //
-// padlock's parallelism is deliberately simple: per-node gather algorithms
+// padlock's parallelism is deliberately simple: per-node round phases
 // and per-site constraint checks are embarrassingly parallel (every worker
 // reads the immutable Graph and writes disjoint slots of caller-owned label
 // stores), and batched sweeps parallelize across independent runs. A plain
@@ -29,7 +29,8 @@
 // call the parallel checker without deadlocking the pool).
 //
 // Worker-lifetime scratch: layers that need warm per-thread buffers (the
-// gather engine's thread_local BallScratch, local/ball_scratch.hpp) key
+// short-cycle search's thread_local ball in algo/sinkless_det.cpp, the
+// checker's per-thread node environment) key
 // them on the worker thread via `thread_local`. Workers persist across
 // parallel_for calls, so such scratch stays warm for a whole sweep; when
 // exec_context().threads changes the pool is rebuilt, the old workers exit,
@@ -50,8 +51,8 @@ struct ExecContext {
   int threads = 1;  // 0 = hardware concurrency
 };
 
-/// The mutable global context consulted by run_gather, check_ne_lcl and
-/// run_batch.
+/// The mutable global context consulted by the message engine, check_ne_lcl
+/// and run_batch.
 [[nodiscard]] ExecContext& exec_context();
 
 /// Applies the conventional `--threads N` flag (shared by the benches) to

@@ -69,6 +69,16 @@ TEST(Builders, TorusIsFourRegular) {
   EXPECT_EQ(girth(g), 4);
 }
 
+// Like the regular families, the torus family rounds n up: 8 columns and
+// ⌈n/8⌉ rows.
+TEST(Builders, TorusFamilyRoundsUp) {
+  EXPECT_EQ(build::family("torus", 1, 3, 0).num_nodes(), 8u);
+  EXPECT_EQ(build::family("torus", 5, 3, 0).num_nodes(), 8u);
+  EXPECT_EQ(build::family("torus", 16, 3, 0).num_nodes(), 16u);
+  EXPECT_EQ(build::family("torus", 20, 3, 0).num_nodes(), 24u);
+  EXPECT_EQ(build::family("torus", 4096, 3, 0).num_nodes(), 4096u);
+}
+
 class RandomRegularTest : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(RandomRegularTest, DegreesExact) {

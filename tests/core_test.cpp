@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/hierarchy.hpp"
 #include "core/padded_graph.hpp"
 #include "core/pi_prime.hpp"
+#include "core/runner.hpp"
 #include "algo/sinkless_det.hpp"
 #include "gadget/faults.hpp"
 #include "graph/builders.hpp"
@@ -89,7 +93,7 @@ TEST_P(PiPrimeSolveTest, SolvesAndChecksOnValidPadding) {
   const auto& inst = pb.instance;
   const auto ids = shuffled_ids(inst.graph, 5);
   const auto res =
-      solve_pi_prime(inst, (randomized ? rand_leaf() : det_leaf()).solve, ids,
+      solve_pi_prime(inst, randomized ? rand_leaf() : det_leaf(), ids,
                      inst.graph.num_nodes(), 9);
   EXPECT_EQ(res.virtual_nodes, base.num_nodes());
   EXPECT_EQ(res.virtual_edges, base.num_edges());
@@ -123,7 +127,7 @@ TEST(PiPrimeSolve, EveryRegisteredInnerProblemSolvesAndChecks) {
       auto pb = build_padded_instance(base, NeLabeling(base), 3, 4);
       if (corrupt) corrupt_gadget(pb, 3);
       const auto ids = shuffled_ids(pb.instance.graph, 2);
-      const auto res = solve_pi_prime(pb.instance, algo->solve, ids,
+      const auto res = solve_pi_prime(pb.instance, *algo, ids,
                                       pb.instance.graph.num_nodes(), 5);
       EXPECT_EQ(res.virtual_nodes, base.num_nodes() - (corrupt ? 1 : 0));
       EXPECT_GT(res.inner_rounds, 0);
@@ -139,6 +143,33 @@ TEST(PiPrimeSolve, EveryRegisteredInnerProblemSolvesAndChecks) {
   EXPECT_GE(pairs, 10);
 }
 
+// Lemma 4 checks the inner algorithm's precondition on the virtual graph
+// and refuses with the RegistryError that run gives, not with a contract
+// failure inside the solver: cole-vishkin needs consistently oriented
+// cycles, and the virtual graph of a padded cubic base is cubic.
+TEST(PiPrimeSolve, InnerPreconditionRefusedOnTheVirtualGraph) {
+  const Graph base = build::random_regular_simple(16, 3, 4);
+  const auto pb = build_padded_instance(base, NeLabeling(base), 3, 4);
+  const auto ids = shuffled_ids(pb.instance.graph, 2);
+  const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
+  const AlgoSpec& cv = registry.algo("3-coloring", "cole-vishkin");
+  std::string run_message;
+  try {
+    (void)run(registry.problem("3-coloring"), cv, base, RunOptions{});
+  } catch (const RegistryError& e) {
+    run_message = e.what();
+  }
+  ASSERT_NE(run_message.find("precondition of 3-coloring/cole-vishkin"),
+            std::string::npos);
+  try {
+    (void)solve_pi_prime(pb.instance, cv, ids,
+                         pb.instance.graph.num_nodes(), 5);
+    ADD_FAILURE() << "solve_pi_prime ran cole-vishkin on a cubic graph";
+  } catch (const RegistryError& e) {
+    EXPECT_EQ(e.what(), run_message);
+  }
+}
+
 // The virtual graph is far smaller than the padded instance, but its nodes
 // know the padded size: Lemma 4 passes it as n_known and id_space, and
 // short-cycle-det sizes its cycle budget from it.
@@ -149,14 +180,15 @@ TEST(PiPrimeSolve, VirtualSolverKnowsThePaddedSize) {
   const auto ids = shuffled_ids(pb.instance.graph, 2);
   std::size_t virtual_n = 0;
   std::int64_t budget = 0;
-  solve_pi_prime(pb.instance, [&](const RunContext& ctx) {
+  const AlgoSpec probe{.solve = [&](const RunContext& ctx) {
     EXPECT_EQ(ctx.n_known, n);
     EXPECT_EQ(ctx.id_space, n);
     virtual_n = ctx.graph.num_nodes();
     AlgoResult r = det_leaf().solve(ctx);
     budget = r.stats.get_or("cycle_budget", 0);
     return r;
-  }, ids, n);
+  }};
+  solve_pi_prime(pb.instance, probe, ids, n);
   EXPECT_EQ(virtual_n, base.num_nodes());
   EXPECT_EQ(budget, sinkless_det_cycle_budget(n));
   EXPECT_GT(budget, sinkless_det_cycle_budget(virtual_n));
@@ -168,9 +200,9 @@ TEST(PiPrimeSolve, RoundsScaleWithInnerTimesStretch) {
   const auto big = build_padded_instance(base, NeLabeling(base), 3, 6);
   const auto ids_s = shuffled_ids(small.instance.graph, 1);
   const auto ids_b = shuffled_ids(big.instance.graph, 1);
-  const auto rs = solve_pi_prime(small.instance, det_leaf().solve, ids_s,
+  const auto rs = solve_pi_prime(small.instance, det_leaf(), ids_s,
                                  small.instance.graph.num_nodes());
-  const auto rb = solve_pi_prime(big.instance, det_leaf().solve, ids_b,
+  const auto rb = solve_pi_prime(big.instance, det_leaf(), ids_b,
                                  big.instance.graph.num_nodes());
   // Taller gadgets -> larger stretch -> more rounds.
   EXPECT_GT(rb.stretch, rs.stretch);
@@ -181,7 +213,7 @@ TEST(PiPrimeCheck, RejectsTamperedVirtualSolution) {
   Graph base = build::random_regular_simple(16, 3, 2);
   const auto pb = build_padded_instance(base, NeLabeling(base), 3, 3);
   const auto ids = shuffled_ids(pb.instance.graph, 4);
-  auto res = solve_pi_prime(pb.instance, det_leaf().solve, ids,
+  auto res = solve_pi_prime(pb.instance, det_leaf(), ids,
                             pb.instance.graph.num_nodes());
   const SinklessOrientation pi;
   ASSERT_TRUE(check_pi_prime(pb.instance, pi, res.output).ok);
@@ -203,7 +235,7 @@ TEST(PiPrimeCheck, RejectsFakePortError) {
   Graph base = build::random_regular_simple(16, 3, 2);
   const auto pb = build_padded_instance(base, NeLabeling(base), 3, 3);
   const auto ids = shuffled_ids(pb.instance.graph, 4);
-  auto res = solve_pi_prime(pb.instance, det_leaf().solve, ids,
+  auto res = solve_pi_prime(pb.instance, det_leaf(), ids,
                             pb.instance.graph.num_nodes());
   const SinklessOrientation pi;
   // Claiming PortErr1 between two valid gadgets violates constraint 4.
@@ -231,7 +263,7 @@ TEST(PiPrimeCheck, CheatingGadOkOnInvalidGadgetStillNeedsValidSolution) {
   corrupt_gadget(pb, 0);
   const PaddedInstance& inst = pb.instance;
   const auto ids = shuffled_ids(inst.graph, 8);
-  const auto res = solve_pi_prime(inst, det_leaf().solve, ids,
+  const auto res = solve_pi_prime(inst, det_leaf(), ids,
                                   inst.graph.num_nodes());
   EXPECT_EQ(res.virtual_nodes, base.num_nodes() - 1);
   const SinklessOrientation pi;
@@ -271,6 +303,42 @@ TEST(HierarchyEncoding, InstanceRoundTrip) {
 
 // ---- Hierarchy --------------------------------------------------------------------
 
+// plan_hierarchy predicts build_hierarchy's node count without building:
+// exact up to two levels, an upper bound at three (levels >= 3 are
+// planned at degree 5, the padded graphs' maximum). padlock_cli solve
+// admits against it.
+TEST(HierarchyPlan, PredictionBoundsTheBuiltSize) {
+  for (const std::size_t base : {4u, 9u, 16u}) {
+    for (int levels = 1; levels <= 3; ++levels) {
+      SCOPED_TRACE("base " + std::to_string(base) + " levels " +
+                   std::to_string(levels));
+      const HierarchyPlan plan = plan_hierarchy(levels, base);
+      const Hierarchy h = build_hierarchy(levels, base, 3);
+      EXPECT_EQ(plan.heights.size(), static_cast<std::size_t>(levels - 1));
+      if (levels <= 2) {
+        EXPECT_EQ(plan.max_nodes, h.total_nodes());
+      } else {
+        EXPECT_GE(plan.max_nodes, h.total_nodes());
+      }
+    }
+  }
+  EXPECT_EQ(plan_hierarchy(3, 4).max_nodes, 13728u);  // builds 11,000
+  EXPECT_EQ(plan_hierarchy(2, 1024).max_nodes, 1570816u);
+  // The documented edges of the admission bound.
+  EXPECT_EQ(plan_hierarchy(2, 2048).max_nodes, 6287360u);
+  EXPECT_EQ(plan_hierarchy(2, 4096).max_nodes, 25157632u);
+  EXPECT_EQ(plan_hierarchy(3, 32).max_nodes, 3762432u);
+  EXPECT_EQ(plan_hierarchy(3, 64).max_nodes, 61579776u);
+  EXPECT_LE(plan_hierarchy(2, 2048).max_nodes, kMaxPaddedNodes);
+  EXPECT_LE(plan_hierarchy(3, 32).max_nodes, kMaxPaddedNodes);
+  EXPECT_GT(plan_hierarchy(2, 4096).max_nodes, kMaxPaddedNodes);
+  EXPECT_GT(plan_hierarchy(3, 64).max_nodes, kMaxPaddedNodes);
+  // Deep plans saturate instead of overflowing or looping.
+  EXPECT_EQ(plan_hierarchy(64, 4).max_nodes,
+            std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(padded_size(16, 3, 3), 16u * gadget_size(3, 3));
+}
+
 TEST(Hierarchy, LevelOneIsPlainSinkless) {
   const auto h = build_hierarchy(1, 32, 3);
   EXPECT_EQ(h.levels, 1);
@@ -302,7 +370,7 @@ TEST(Hierarchy, LevelTwoSolvesAndStretches) {
 TEST(Hierarchy, LevelTwoCheckableEndToEnd) {
   const auto h = build_hierarchy(2, 12, 9);
   const auto ids = shuffled_ids(h.top_graph(), 1);
-  const auto res = solve_pi_prime(h.padded.back().instance, det_leaf().solve,
+  const auto res = solve_pi_prime(h.padded.back().instance, det_leaf(),
                                   ids, h.total_nodes());
   const SinklessOrientation pi;
   EXPECT_TRUE(check_pi_prime(h.padded.back().instance, pi, res.output).ok);

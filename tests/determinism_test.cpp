@@ -9,7 +9,6 @@
 #include "core/runner.hpp"
 #include "graph/builders.hpp"
 #include "lcl/problems/sinkless_orientation.hpp"
-#include "local/engine.hpp"
 #include "support/thread_pool.hpp"
 
 namespace padlock {
@@ -83,30 +82,6 @@ TEST_F(DeterminismTest, ShortCycleDetSerialEqualsParallelAboveGrain) {
     EXPECT_TRUE(serial.rounds == parallel.rounds);  // per-node rounds too
     EXPECT_EQ(serial.stats.entries, parallel.stats.entries);
   }
-}
-
-TEST_F(DeterminismTest, GatherEngineSerialEqualsParallel) {
-  const Graph g = build::random_regular_simple(200, 3, 5);
-  NodeMap<int> out_serial(g, 0), out_parallel(g, 0);
-  const auto rule = [&g](NodeMap<int>& out) {
-    return [&g, &out](LocalView& view, NodeId v) {
-      view.extend(1 + static_cast<int>(v % 3));  // >= 1: port reads need it
-      int sum = 0;
-      for (int p = 0; p < view.degree(v); ++p)
-        sum += static_cast<int>(view.neighbor(v, p));
-      out[v] = sum;
-      (void)g;
-    };
-  };
-
-  exec_context().threads = 1;
-  const RoundReport serial = run_gather(g, rule(out_serial));
-  exec_context().threads = 4;
-  const RoundReport parallel = run_gather(g, rule(out_parallel));
-
-  EXPECT_TRUE(serial == parallel);
-  EXPECT_EQ(serial.rounds, 3);  // max over 1 + v % 3
-  EXPECT_TRUE(out_serial == out_parallel);
 }
 
 TEST_F(DeterminismTest, CheckerViolationListIdenticalUnderCap) {

@@ -25,7 +25,7 @@ TEST(FamilyDispatch, TreeOutputRejectedUnderPathFamilyTag) {
   const Graph base = build::cycle(4);
   PaddedBuild pb = build_padded_instance(base, NeLabeling(base), 2, 3);
   const IdMap ids = shuffled_ids(pb.instance.graph, 3);
-  const auto res = solve_pi_prime(pb.instance, det_leaf().solve, ids,
+  const auto res = solve_pi_prime(pb.instance, det_leaf(), ids,
                                   pb.instance.graph.num_nodes());
   const SinklessOrientation pi;
   ASSERT_TRUE(check_pi_prime(pb.instance, pi, res.output).ok);
@@ -39,7 +39,7 @@ TEST(FamilyDispatch, PathOutputRejectedUnderTreeFamilyTag) {
   const Graph base = build::cycle(4);
   PaddedBuild pb = build_padded_instance_path(base, NeLabeling(base), 2, 3);
   const IdMap ids = shuffled_ids(pb.instance.graph, 4);
-  const auto res = solve_pi_prime(pb.instance, det_leaf().solve, ids,
+  const auto res = solve_pi_prime(pb.instance, det_leaf(), ids,
                                   pb.instance.graph.num_nodes());
   const SinklessOrientation pi;
   ASSERT_TRUE(check_pi_prime(pb.instance, pi, res.output).ok);
@@ -58,7 +58,7 @@ TEST(FamilyDispatch, SolverTreatsMislabeledGadgetsAsInvalid) {
   PaddedInstance mislabeled = pb.instance;
   mislabeled.family = GadgetFamilyKind::kTree;
   const IdMap ids = shuffled_ids(mislabeled.graph, 5);
-  const auto res = solve_pi_prime(mislabeled, det_leaf().solve, ids,
+  const auto res = solve_pi_prime(mislabeled, det_leaf(), ids,
                                   mislabeled.graph.num_nodes());
   EXPECT_EQ(res.virtual_nodes, 0u);
   const SinklessOrientation pi;
@@ -162,7 +162,7 @@ TEST(PathPortFaults, DanglingPortGetsPortErr1) {
 
   const IdMap ids = shuffled_ids(cut.graph, 6);
   const auto res =
-      solve_pi_prime(cut, det_leaf().solve, ids, cut.graph.num_nodes());
+      solve_pi_prime(cut, det_leaf(), ids, cut.graph.num_nodes());
   EXPECT_EQ(res.output.port_status[pu], kPortErr2);
   EXPECT_EQ(res.output.port_status[pv], kPortErr2);
   const SinklessOrientation pi;

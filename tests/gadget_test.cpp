@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -74,6 +75,28 @@ TEST(GadgetBuild, HeightForSize) {
   EXPECT_EQ(gadget_height_for_size(3, 10), 2);
   EXPECT_GE(gadget_height_for_size(3, 1000), 8);
   EXPECT_GE(gadget_size(3, gadget_height_for_size(3, 5000)), 5000u);
+  // The smallest height >= 2 whose size reaches the target.
+  for (const int delta : {1, 2, 3, 5, 7}) {
+    for (std::size_t target = 0; target <= 3000; ++target) {
+      const int h = gadget_height_for_size(delta, target);
+      ASSERT_GE(gadget_size(delta, h), target) << delta << " " << target;
+      ASSERT_TRUE(h == 2 || gadget_size(delta, h - 1) < target)
+          << delta << " " << target;
+    }
+  }
+}
+
+// Sizes past 64 bits saturate, and the height search ends for any target.
+TEST(GadgetBuild, SizeSaturatesAndHeightSearchTerminates) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(gadget_size(3, 64), kMax);
+  EXPECT_EQ(gadget_size(5, 62), kMax);
+  EXPECT_EQ(gadget_size(1, 63), std::size_t{1} << 63);
+  for (const int delta : {1, 3, 5, 64}) {
+    const int h = gadget_height_for_size(delta, kMax);
+    EXPECT_LE(h, 64);
+    EXPECT_EQ(gadget_size(delta, h), kMax);
+  }
 }
 
 TEST(GadgetBuild, FollowLabelNavigates) {

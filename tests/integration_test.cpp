@@ -1,67 +1,68 @@
-// Cross-module integration: strict LocalViews driving real constraint
-// checks, and end-to-end adversarial scenarios on padded instances.
+// Cross-module integration: the gadget constraints audited for locality on
+// extracted balls, and end-to-end adversarial scenarios on padded
+// instances.
 #include <gtest/gtest.h>
 
-#include "algo/sinkless_det.hpp"
 #include "core/hierarchy.hpp"
 #include "core/pi_prime.hpp"
 #include "gadget/constraints.hpp"
+#include "gadget/faults.hpp"
 #include "gadget/gadget.hpp"
 #include "graph/builders.hpp"
+#include "graph/subgraph.hpp"
 #include "lcl/problems/sinkless_orientation.hpp"
-#include "local/engine.hpp"
 
 namespace padlock {
 namespace {
 
-// The paper's structural constraints are constant-radius: re-evaluate them
-// through a *strict* LocalView of radius 5 (2d walks 4 hops + one hop of
-// context) — any read beyond the gathered ball throws ContractViolation, so
-// this mechanically certifies the constant-radius claim of §4.2/§4.3.
-TEST(StrictView, GadgetConstraintsAreRadius5Checkable) {
-  const auto inst = build_gadget(3, 4);
-  const Graph& g = inst.graph;
-  const auto report = run_gather(
-      g, [&](LocalView& view, NodeId v) {
-        view.extend(5);
-        // Reads below go through the checked accessors; follow_label-style
-        // navigation stays inside the ball because every walk in the
-        // constraints has length <= 4.
-        for (int p = 0; p < view.degree(v); ++p) {
-          const HalfEdge h = view.incidence(v, p);
-          (void)view.half_data(inst.labels.half, h);
-          const NodeId w = view.neighbor(v, p);
-          (void)view.node_data(inst.labels.index, w);
-          for (int q = 0; q < view.degree(w); ++q) {
-            const NodeId x = view.neighbor(w, q);
-            (void)view.node_data(inst.labels.index, x);
-          }
-        }
-        EXPECT_TRUE(node_structure_ok(g, inst.labels, v));
-      });
-  EXPECT_EQ(report.rounds, 5);
+// The gadget labels restricted to an extracted ball: node maps through
+// restrict_to_ball, half labels through the ball's edge map (extract_ball
+// keeps each edge's endpoint order, so sides carry over).
+GadgetLabels ball_labels(const BallExtract& ball, const GadgetLabels& labels) {
+  GadgetLabels out(ball.graph);
+  out.index = restrict_to_ball(ball, labels.index);
+  out.port = restrict_to_ball(ball, labels.port);
+  out.center = restrict_to_ball(ball, labels.center);
+  out.vcolor = restrict_to_ball(ball, labels.vcolor);
+  out.delta = labels.delta;
+  for (EdgeId be = 0; be < ball.graph.num_edges(); ++be)
+    for (int side = 0; side < 2; ++side)
+      out.half[HalfEdge{be, side}] =
+          labels.half[HalfEdge{ball.edge_to_original[be], side}];
+  return out;
 }
 
-// An ne-LCL checker is a 1-round distributed algorithm: evaluate the edge
-// constraint of sinkless orientation through strict views of radius 1.
-TEST(StrictView, SinklessEdgeConstraintIsRadius1) {
-  Graph g = build::random_regular(32, 3, 5);
-  const auto ids = sequential_ids(g);
-  const auto sol = sinkless_orientation_det(g, ids, 32);
-  const auto labeling = orientation_to_labeling(g, sol.tails);
-  run_gather(g, [&](LocalView& view, NodeId v) {
-    view.extend(1);
-    int out_halves = 0;
-    for (int p = 0; p < view.degree(v); ++p) {
-      const HalfEdge h = view.incidence(v, p);
-      const Label mine = view.half_data(labeling.half, h);
-      const Label theirs =
-          view.half_data(labeling.half, Graph::opposite(h));
-      EXPECT_NE(mine, theirs);  // edge constraint
-      out_halves += (mine == SinklessOrientation::kOut);
+// node_structure_ok at v evaluated on v's radius-`radius` ball alone must
+// give the verdict it gives on the whole graph, at every node.
+void expect_structure_verdicts_local(const GadgetInstance& inst, int radius) {
+  const Graph& g = inst.graph;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const BallExtract ball = extract_ball(g, v, radius);
+    EXPECT_EQ(node_structure_ok(ball.graph, ball_labels(ball, inst.labels),
+                                ball.center()),
+              node_structure_ok(g, inst.labels, v))
+        << "node " << v << " radius " << radius;
+  }
+}
+
+// The paper's structural constraints are constant-radius (§4.2/§4.3): the
+// deepest, 2d, walks 4 hops, and a node's verdict is a function of its
+// radius-5 ball. extract_ball is the locality oracle: the audit re-runs
+// the constraints on each node's ball, on a valid gadget and on a faulted
+// copy of it for every fault kind, so rejections are audited too.
+TEST(GadgetLocality, StructureVerdictsAreRadius5Local) {
+  const GadgetInstance valid = build_gadget(3, 4);
+  ASSERT_TRUE(check_gadget_structure(valid.graph, valid.labels).all_ok);
+  expect_structure_verdicts_local(valid, 5);
+  for (const GadgetFault fault : all_gadget_faults()) {
+    for (const std::uint64_t seed : {1ull, 2ull}) {
+      SCOPED_TRACE(fault_name(fault) + " seed " + std::to_string(seed));
+      const GadgetInstance faulted = inject_fault(valid, fault, seed);
+      ASSERT_FALSE(
+          check_gadget_structure(faulted.graph, faulted.labels).all_ok);
+      expect_structure_verdicts_local(faulted, 5);
     }
-    if (view.degree(v) >= 3) EXPECT_GE(out_halves, 1);  // node constraint
-  });
+  }
 }
 
 // Adversary floods a padded instance's Ψ_G part with Error claims on a
@@ -72,9 +73,8 @@ TEST(PiPrimeAdversary, ErrorFloodOnValidPaddingRejected) {
   const auto ids = shuffled_ids(pb.instance.graph, 1);
   auto res = solve_pi_prime(
       pb.instance,
-      AlgorithmRegistry::instance()
-          .algo("sinkless-orientation", "short-cycle-det")
-          .solve,
+      AlgorithmRegistry::instance().algo("sinkless-orientation",
+                                         "short-cycle-det"),
       ids, pb.instance.graph.num_nodes());
   const SinklessOrientation pi;
   ASSERT_TRUE(check_pi_prime(pb.instance, pi, res.output).ok);
@@ -91,19 +91,18 @@ TEST(PiPrimeAdversary, UnsolvedInnerProblemRejected) {
   Graph base = build::random_regular_simple(8, 3, 4);
   const auto pb = build_padded_instance(base, NeLabeling(base), 3, 3);
   const auto ids = shuffled_ids(pb.instance.graph, 2);
-  auto res = solve_pi_prime(
-      pb.instance,
-      [](const RunContext& ctx) {
-        // A lazy "solver": everything In — every virtual node is a sink.
-        const Graph& vg = ctx.graph;
-        NeLabeling out(vg);
-        for (EdgeId e = 0; e < vg.num_edges(); ++e) {
-          out.half[HalfEdge{e, 0}] = SinklessOrientation::kIn;
-          out.half[HalfEdge{e, 1}] = SinklessOrientation::kIn;
-        }
-        return AlgoResult{.output = out, .rounds = {}, .stats = {}};
-      },
-      ids, pb.instance.graph.num_nodes());
+  // A lazy "solver": everything In — every virtual node is a sink.
+  const AlgoSpec lazy{.solve = [](const RunContext& ctx) {
+    const Graph& vg = ctx.graph;
+    NeLabeling out(vg);
+    for (EdgeId e = 0; e < vg.num_edges(); ++e) {
+      out.half[HalfEdge{e, 0}] = SinklessOrientation::kIn;
+      out.half[HalfEdge{e, 1}] = SinklessOrientation::kIn;
+    }
+    return AlgoResult{.output = out, .rounds = {}, .stats = {}};
+  }};
+  auto res =
+      solve_pi_prime(pb.instance, lazy, ids, pb.instance.graph.num_nodes());
   const SinklessOrientation pi;
   EXPECT_FALSE(check_pi_prime(pb.instance, pi, res.output).ok);
 }

@@ -6,10 +6,8 @@
 #include <unordered_set>
 
 #include "graph/builders.hpp"
-#include "local/engine.hpp"
 #include "local/ids.hpp"
 #include "local/message_engine.hpp"
-#include "local/view.hpp"
 #include "support/check.hpp"
 #include "support/thread_pool.hpp"
 
@@ -212,47 +210,6 @@ INSTANTIATE_TEST_SUITE_P(Threads, IdsValidOracle, ::testing::Values(1, 4),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "threads" + std::to_string(info.param);
                          });
-
-TEST(LocalView, StrictAllowsBallReads) {
-  Graph g = build::cycle(8);
-  LocalView view(g, 0);
-  view.extend(2);
-  EXPECT_TRUE(view.knows_node(1));
-  EXPECT_TRUE(view.knows_node(2));
-  EXPECT_FALSE(view.knows_node(3));
-  EXPECT_TRUE(view.knows_ports(1));
-  EXPECT_FALSE(view.knows_ports(2));  // boundary node: data only
-  EXPECT_EQ(view.dist(6), 2);
-  EXPECT_EQ(view.neighbor(1, 0), 0u);  // node 1's port 0 is edge {0,1}
-}
-
-TEST(LocalView, StrictThrowsOutsideBall) {
-  Graph g = build::cycle(8);
-  LocalView view(g, 0);
-  view.extend(1);
-  // Contract violations throw (fault-isolated sweeps); so does asking for
-  // the distance of a node outside the gathered ball.
-  EXPECT_THROW((void)view.degree(4), ContractViolation);
-  EXPECT_THROW((void)view.dist(4), ContractViolation);
-}
-
-TEST(LocalView, ExtendIsMonotone) {
-  Graph g = build::cycle(8);
-  LocalView view(g, 0);
-  view.extend(3);
-  view.extend(1);
-  EXPECT_EQ(view.radius(), 3);
-}
-
-TEST(GatherEngine, ReportsMaxRadius) {
-  Graph g = build::path(5);
-  const auto report = run_gather(g, [&](LocalView& view, NodeId v) {
-    view.extend(static_cast<int>(v % 3));
-  });
-  EXPECT_EQ(report.rounds, 2);
-  EXPECT_EQ(report.node_rounds[0], 0);
-  EXPECT_EQ(report.node_rounds[2], 2);
-}
 
 // A trivial message algorithm: flood the maximum id; checks engine
 // delivery, port symmetry, and round counting.

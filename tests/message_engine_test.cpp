@@ -17,8 +17,8 @@
 //    the pooled phases actually split into chunks;
 //  * drain semantics: a halting node's final sends are delivered exactly
 //    once, and long-halted slots read as silence;
-//  * steady-state zero allocations per round, via the same global
-//    operator-new counting hook as tests/view_property_test.cpp;
+//  * steady-state zero allocations per round, via a global operator-new
+//    counting hook;
 //  * a round-budget violation throws ContractViolation and leaves the
 //    engine (and the pool, when the phases ran pooled) fit for the next
 //    run;

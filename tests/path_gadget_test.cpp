@@ -319,7 +319,7 @@ TEST(PathPadding, BuildAndSolveSinklessOnPathPaddedGraph) {
 
   const IdMap ids = shuffled_ids(pb.instance.graph, 5);
   const auto res =
-      solve_pi_prime(pb.instance, sinkless_leaf("short-cycle-det").solve, ids,
+      solve_pi_prime(pb.instance, sinkless_leaf("short-cycle-det"), ids,
                      pb.instance.graph.num_nodes());
   EXPECT_EQ(res.virtual_nodes, base.num_nodes());
   EXPECT_EQ(res.virtual_edges, base.num_edges());
@@ -338,7 +338,7 @@ TEST(PathPadding, RandomizedLeafAlsoValid) {
       build_padded_instance_path(base, NeLabeling(base), 3, 4);
   const IdMap ids = shuffled_ids(pb.instance.graph, 6);
   const auto res =
-      solve_pi_prime(pb.instance, sinkless_leaf("propose-repair").solve, ids,
+      solve_pi_prime(pb.instance, sinkless_leaf("propose-repair"), ids,
                      pb.instance.graph.num_nodes(), 99);
   const SinklessOrientation pi;
   EXPECT_TRUE(check_pi_prime(pb.instance, pi, res.output).ok);
@@ -354,7 +354,7 @@ TEST(PathPadding, CorruptedGadgetQuarantined) {
 
   const IdMap ids = shuffled_ids(pb.instance.graph, 7);
   const auto res =
-      solve_pi_prime(pb.instance, sinkless_leaf("short-cycle-det").solve, ids,
+      solve_pi_prime(pb.instance, sinkless_leaf("short-cycle-det"), ids,
                      pb.instance.graph.num_nodes());
   // One gadget dropped from the virtual graph.
   EXPECT_EQ(res.virtual_nodes, base.num_nodes() - 1);

@@ -2,11 +2,15 @@
 // tampering, invariants that must hold for every seed.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "algo/luby_mis.hpp"
 #include "algo/matching.hpp"
 #include "algo/sinkless_det.hpp"
 #include "algo/sinkless_rand.hpp"
 #include "core/hierarchy.hpp"
+#include "core/runner.hpp"
 #include "gadget/faults.hpp"
 #include "gadget/verifier.hpp"
 #include "graph/builders.hpp"
@@ -140,6 +144,68 @@ TEST_P(SeedTest, RandomHalfCorruptionCaught) {
   const auto res = run_gadget_verifier(inst.graph, labels);
   EXPECT_TRUE(res.found_error);
   EXPECT_TRUE(check_psi(inst.graph, labels, res.output).ok);
+}
+
+// ---- Custom-checker problems: independent local rules ----------------
+// dist2-coloring and ruling-set are verified by their own checkers, not by
+// an ne-LCL. These loops restate their local rules over the Graph; every
+// verified output of every registered pair must pass them on every family.
+
+// dist2-coloring: a color >= 1 that no other node within distance 2 has.
+bool dist2_rule_ok(const Graph& g, const NeLabeling& out, NodeId v) {
+  const Label mine = out.node[v];
+  if (mine < 1) return false;
+  for (int p = 0; p < g.degree(v); ++p) {
+    const NodeId u = g.neighbor(v, p);
+    if (u != v && out.node[u] == mine) return false;
+    for (int q = 0; q < g.degree(u); ++q) {
+      const NodeId w = g.neighbor(u, q);
+      if (w != v && out.node[w] == mine) return false;
+    }
+  }
+  return true;
+}
+
+// ruling-set: label 1 or 2, and no two adjacent 2s (domination is a global
+// property, left to the problem's own checker).
+bool ruling_set_rule_ok(const Graph& g, const NeLabeling& out, NodeId v) {
+  const Label mine = out.node[v];
+  if (mine != 1 && mine != 2) return false;
+  for (int p = 0; mine == 2 && p < g.degree(v); ++p) {
+    const NodeId u = g.neighbor(v, p);
+    if (u != v && out.node[u] == 2) return false;
+  }
+  return true;
+}
+
+TEST(CustomCheckerRules, VerifiedOutputsPassOnAllFamilies) {
+  const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
+  std::set<std::string> expected, exercised;
+  for (const std::string& fam : build::family_names()) {
+    for (const std::size_t n : {std::size_t{20}, std::size_t{48}}) {
+      const Graph g = build::family(fam, n, 3, 5);
+      for (const auto& [problem, algo] : registry.pairs()) {
+        const auto rule = problem->name == "dist2-coloring" ? dist2_rule_ok
+                          : problem->name == "ruling-set"   ? ruling_set_rule_ok
+                                                            : nullptr;
+        if (rule == nullptr) continue;
+        const std::string pair = problem->name + "/" + algo->name;
+        expected.insert(pair);
+        if (algo->precondition && !algo->precondition(g)) continue;
+        RunOptions opts;
+        opts.seed = 9;
+        const SolveOutcome solved = run(*problem, *algo, g, opts);
+        ASSERT_TRUE(solved.ok()) << pair << " on " << fam << " " << n;
+        for (NodeId v = 0; v < g.num_nodes(); ++v) {
+          ASSERT_TRUE(rule(g, solved.output, v))
+              << pair << " on " << fam << " " << n << ": node " << v;
+        }
+        exercised.insert(pair);
+      }
+    }
+  }
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(exercised, expected);  // every such pair ran somewhere
 }
 
 // ---- Hierarchy round accounting sanity ----------------------------------

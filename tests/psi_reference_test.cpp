@@ -356,7 +356,7 @@ std::vector<SolveCase> solve_cases() {
              const IdMap ids = shuffled_ids(inst.graph, seed);
              return refused_or([&] {
                return pi_prime_print(
-                   solve_pi_prime(inst, sinkless_leaf(false).solve, ids,
+                   solve_pi_prime(inst, sinkless_leaf(false), ids,
                                   inst.graph.num_nodes()));
              });
            }});

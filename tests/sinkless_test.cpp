@@ -53,9 +53,9 @@ TEST(ShortCycle, SelfLoopAndParallel) {
   EXPECT_EQ(short_cycle_through(g, 1, 10), 2);
 }
 
-TEST(ShortCycle, ParallelPairBeforeSelfLoopReportsTwo) {
+TEST(ShortCycle, SelfLoopAfterParallelPairReportsOne) {
   // Node 0: a parallel pair to node 1 at ports 0-1, a self-loop at ports
-  // 2-3. The ports are scanned in order, so the pair is seen first.
+  // 2-3. The pair comes first in port order; the loop is still shorter.
   GraphBuilder b;
   b.add_nodes(2);
   b.add_edge(0, 1);
@@ -66,8 +66,9 @@ TEST(ShortCycle, ParallelPairBeforeSelfLoopReportsTwo) {
   ASSERT_EQ(g.neighbor(0, 1), 1u);
   ASSERT_EQ(g.neighbor(0, 2), 0u);
   ASSERT_EQ(g.neighbor(0, 3), 0u);
-  EXPECT_EQ(short_cycle_through(g, 0, 10), 2);
-  EXPECT_EQ(short_cycle_through(g, 0, 1), 1);  // no length 2 within budget 1
+  EXPECT_EQ(short_cycle_through(g, 0, 10), 1);
+  EXPECT_EQ(short_cycle_through(g, 0, 1), 1);
+  EXPECT_EQ(short_cycle_through(g, 1, 10), 2);
 }
 
 TEST(ShortCycle, MatchesBruteForceOnTorus) {
@@ -340,16 +341,29 @@ bool has_self_loop_and_parallel_pair(const Graph& g) {
 
 TEST(SinklessDet, CanonicalCyclesMatchBruteForceOracle) {
   // Many tied shortest cycles (torus), loops and parallels (configuration
-  // model), and a plain random cubic graph, each under three id orders.
+  // model, and a parallel pair ahead of a self-loop), and a plain random
+  // cubic graph, each under three id orders.
   std::optional<Graph> multi;
   for (std::uint64_t seed = 1; seed <= 64 && !multi; ++seed) {
     Graph g = build::random_regular(16, 4, seed);
     if (has_self_loop_and_parallel_pair(g)) multi = std::move(g);
   }
   ASSERT_TRUE(multi.has_value());
+  // Node 0's parallel pair to node 1 precedes its self-loop in port order;
+  // node 3 has a loop after a simple edge.
+  GraphBuilder pb;
+  pb.add_nodes(4);
+  pb.add_edge(0, 1);
+  pb.add_edge(0, 1);
+  pb.add_edge(0, 0);
+  pb.add_edge(1, 2);
+  pb.add_edge(2, 0);
+  pb.add_edge(2, 3);
+  pb.add_edge(3, 3);
   const std::vector<std::pair<std::string, Graph>> graphs = {
       {"torus(4,4)", build::torus(4, 4)},
       {"multigraph", *multi},
+      {"pair-before-loop", std::move(pb).build()},
       {"cubic", build::random_regular_simple(48, 3, 11)}};
   for (const auto& [name, g] : graphs) {
     const std::vector<std::pair<std::string, IdMap>> id_sets = {
