@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -95,6 +96,7 @@ struct Server::Impl {
   ServerOptions opt;
   int listen_fd = -1;
   int resolved_port = 0;
+  bool bound_unix_path = false;  // stop() removes the socket file it made
   bool started = false;
   bool stopped = false;
 
@@ -172,6 +174,7 @@ struct Server::Impl {
                  sizeof addr) != 0) {
         throw_errno("serve: bind(" + opt.unix_path + ")");
       }
+      bound_unix_path = true;
     } else {
       listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
       if (listen_fd < 0) throw_errno("serve: socket(AF_INET)");
@@ -231,6 +234,14 @@ struct Server::Impl {
         (void)::send(fd, line.data(), line.size(), MSG_NOSIGNAL);
         ::close(fd);
         continue;
+      }
+      // A run answer is several sends (accepted, rows, done); with Nagle
+      // on, each later line waits for the client's delayed ACK of the
+      // previous one, about 40 ms on Linux. Unix sockets have no Nagle.
+      // A failed setsockopt only costs latency, so the session goes on.
+      if (opt.unix_path.empty()) {
+        const int one = 1;
+        (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
       }
       auto session = std::make_shared<Session>(fd);
       active_sessions.fetch_add(1);
@@ -472,6 +483,7 @@ struct Server::Impl {
     }
     ::close(listen_fd);
     listen_fd = -1;
+    if (bound_unix_path) ::unlink(opt.unix_path.c_str());
   }
 };
 

@@ -59,7 +59,8 @@ class Server {
 
   /// Graceful shutdown: stop accepting, answer queued requests with
   /// `shutdown`, drain in-flight requests to their final row, join every
-  /// thread, close every socket. Idempotent.
+  /// thread, close every socket, and remove the unix socket file this
+  /// server bound. Idempotent.
   void stop();
 
   /// Resolved TCP listen port (after start(); 0 for unix-socket servers).

@@ -1,7 +1,8 @@
 // The resident sweep daemon (src/serve/): wire-schema strictness, framing
 // round-trips over real sockets, per-request fault isolation, streamed-row
-// bit-identity against offline run_batch, admission control, and the
-// graceful-shutdown drain.
+// bit-identity against offline run_batch, admission control, the
+// connection limit, response latency on TCP, and the graceful-shutdown
+// drain (including removal of a unix socket file).
 //
 // Wall-clock fields (wall_ns_min / wall_ns_median / edges_per_sec) are the
 // only nondeterministic bytes of a row rendering, so — exactly like the
@@ -12,11 +13,14 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <regex>
@@ -182,6 +186,14 @@ class TestClient {
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<std::uint16_t>(port));
     ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    connected_ =
+        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
+  }
+  explicit TestClient(const std::string& unix_path) {
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, unix_path.c_str(), sizeof addr.sun_path - 1);
     connected_ =
         ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
   }
@@ -585,6 +597,139 @@ TEST(ServeServer, ShutdownOpStopsAdmissionAndWakesOwner) {
   ASSERT_TRUE(refusal.has_value());
   EXPECT_TRUE(has_type(*refusal, "error")) << *refusal;
   EXPECT_NE(refusal->find("\"status\": \"shutdown\""), std::string::npos);
+  server.stop();
+}
+
+// Reads one run/sweep answer to its terminal line; returns that line
+// (nullopt if the daemon hung up first).
+std::optional<std::string> read_until_done(TestClient& client) {
+  for (;;) {
+    auto line = client.read_line();
+    if (!line || !(has_type(*line, "accepted") || has_type(*line, "row"))) {
+      return line;
+    }
+  }
+}
+
+// A run answer is three sends (accepted, row, done). With Nagle on, the
+// row and done lines wait for the client's delayed ACK of the line before,
+// which puts a floor of about 40 ms under every request; the median of
+// sequential small runs on one connection must sit well below it.
+TEST(ServeServer, ResponseLinesAreNotHeldBack) {
+  Server server(base_options());
+  server.start();
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+
+  const std::string request =
+      R"({"op": "run", "problem": "mis", "algo": "luby", "nodes": 64})"
+      "\n";
+  std::vector<double> ms;
+  for (int i = 0; i < 20; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.send_line(request));
+    const auto done = read_until_done(client);
+    ASSERT_TRUE(done.has_value()) << "daemon hung up mid-stream";
+    ASSERT_TRUE(has_type(*done, "done")) << *done;
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+  }
+  server.stop();
+  std::nth_element(ms.begin(), ms.begin() + 10, ms.end());
+  EXPECT_LT(ms[10], 20.0) << "median send-to-done time in ms";
+}
+
+// A unix-socket daemon streams the same answers (TCP_NODELAY is a TCP-only
+// option and is not applied here), and stop() removes the socket file it
+// bound.
+TEST(ServeServer, UnixSocketServesAndIsRemovedOnStop) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("padlock_serve_test_" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  ServerOptions opts = base_options();
+  opts.unix_path = path;
+  Server server(opts);
+  server.start();
+  EXPECT_EQ(server.port(), 0);
+  EXPECT_TRUE(std::filesystem::exists(path));
+
+  TestClient client(path);
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.send_line("{\"op\": \"ping\", \"id\": \"u\"}\n"));
+  const auto pong = client.read_line();
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_TRUE(has_type(*pong, "pong")) << *pong;
+
+  ASSERT_TRUE(client.send_line(
+      R"({"op": "run", "id": "r", "problem": "mis", "algo": "luby",)"
+      R"( "nodes": 64})"
+      "\n"));
+  std::vector<std::string> types;
+  for (;;) {
+    const auto line = client.read_line();
+    ASSERT_TRUE(line.has_value()) << "daemon hung up mid-stream";
+    for (const char* type : {"accepted", "row", "done"}) {
+      if (has_type(*line, type)) types.emplace_back(type);
+    }
+    if (has_type(*line, "done")) {
+      EXPECT_NE(line->find("\"status\": \"ok\""), std::string::npos) << *line;
+      break;
+    }
+  }
+  EXPECT_EQ(types, (std::vector<std::string>{"accepted", "row", "done"}));
+
+  server.stop();
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+// max_connections: a connection beyond the limit is answered `rejected`
+// and closed, the admitted one stays usable, and its slot is free again
+// once it closes (slots are released when the session thread exits, so
+// the last step retries for a bounded time instead of sleeping).
+TEST(ServeServer, ConnectionLimitRejectsAndFreesSlots) {
+  ServerOptions opts = base_options();
+  opts.max_connections = 1;
+  Server server(opts);
+  server.start();
+
+  const std::string ping = "{\"op\": \"ping\"}\n";
+  TestClient first(server.port());
+  ASSERT_TRUE(first.connected());
+  ASSERT_TRUE(first.send_line(ping));
+  const auto pong = first.read_line();
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_TRUE(has_type(*pong, "pong")) << *pong;
+
+  TestClient second(server.port());
+  ASSERT_TRUE(second.connected());
+  const auto refusal = second.read_line();
+  ASSERT_TRUE(refusal.has_value());
+  EXPECT_EQ(*refusal,
+            R"({"type": "error", "status": "rejected", "message":)"
+            R"( "connection limit (1) reached"})");
+  EXPECT_FALSE(second.read_line().has_value());
+
+  ASSERT_TRUE(first.send_line(ping));
+  const auto still = first.read_line();
+  ASSERT_TRUE(still.has_value());
+  EXPECT_TRUE(has_type(*still, "pong")) << *still;
+  first.close();
+
+  bool admitted = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!admitted && std::chrono::steady_clock::now() < deadline) {
+    TestClient next(server.port());
+    if (next.connected() && next.send_line(ping)) {
+      const auto line = next.read_line();
+      admitted = line.has_value() && has_type(*line, "pong");
+    }
+    if (!admitted) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(admitted) << "no connection admitted within 2 s of the first "
+                           "one closing";
   server.stop();
 }
 
