@@ -71,20 +71,6 @@ IdMap bfs_adversarial_ids(const Graph& g) {
   return ids;
 }
 
-namespace {
-
-// Runs fn over [0, n) in kIdCheckChunk-node chunks: through the pool when
-// there is more than one chunk, inline on the caller otherwise.
-void for_id_chunks(std::size_t n, const ThreadPool::RangeFn& fn) {
-  if (n <= kIdCheckChunk) {
-    fn(0, n);
-  } else {
-    parallel_for(0, n, kIdCheckChunk, fn);
-  }
-}
-
-}  // namespace
-
 bool ids_valid(const Graph& g, const IdMap& ids) {
   const std::size_t n = g.num_nodes();
   if (ids.size() != n) return false;
@@ -94,7 +80,7 @@ bool ids_valid(const Graph& g, const IdMap& ids) {
   std::mutex mu;
   std::uint64_t min_id = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t max_id = 0;
-  for_id_chunks(n, [&](std::size_t b, std::size_t e) {
+  parallel_for(0, n, kIdCheckChunk, [&](std::size_t b, std::size_t e) {
     std::uint64_t lo = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t hi = 0;
     for (std::size_t v = b; v < e; ++v) {
@@ -115,7 +101,7 @@ bool ids_valid(const Graph& g, const IdMap& ids) {
 
   std::vector<std::uint64_t> bits(max_id / 64 + 1, 0);
   std::atomic<bool> duplicate{false};
-  for_id_chunks(n, [&](std::size_t b, std::size_t e) {
+  parallel_for(0, n, kIdCheckChunk, [&](std::size_t b, std::size_t e) {
     if (duplicate.load(std::memory_order_relaxed)) return;
     for (std::size_t v = b; v < e; ++v) {
       const std::uint64_t mask = std::uint64_t{1} << (id[v] % 64);

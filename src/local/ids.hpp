@@ -34,8 +34,9 @@ IdMap sparse_ids(const Graph& g, std::uint64_t seed);
 IdMap bfs_adversarial_ids(const Graph& g);
 
 /// Nodes per chunk of ids_valid's passes. An input of at most one chunk
-/// runs inline on the caller (no pool dispatch), which covers sweep rows
-/// and serve requests; larger inputs spread their chunks over the pool.
+/// runs inline on the caller (parallel_for runs a one-grain range without
+/// a pool dispatch), which covers sweep rows and serve requests; larger
+/// inputs spread their chunks over the pool.
 inline constexpr std::size_t kIdCheckChunk = std::size_t{1} << 15;
 
 /// True iff there is one id per node, every id is >= 1, and all ids are

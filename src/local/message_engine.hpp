@@ -56,27 +56,29 @@
 //    node's halt clears its active bit and sets its drain bit in the same
 //    word pass; last round's drain word is overwritten, which is exactly
 //    the retire step).
-//  * Serial rounds walk a busy-word list (the ascending words with any
-//    active or drain bit) instead of every word, so a round with a handful
-//    of busy nodes costs O(busy words), not O(n/64). The serial rebuild
-//    compacts the list in place; a pooled round scans all words and the
-//    next serial round rebuilds the list once.
+//  * Every phase, serial or pooled, walks one busy-word list (the ascending
+//    words with any active or drain bit) instead of every word, so a round
+//    with a handful of busy nodes costs O(busy words), not O(n/64). The
+//    rebuild compacts the list in place; calendar wakers merge into it.
 //  * Wake-up calendar: an algorithm that declares wake_round(v) keeps its
 //    sleepers off the frontier until their round (local/wake_calendar.hpp,
 //    counting-sorted at run start). A round with no active, draining or
 //    waking node is skipped in O(1) but still counted, against the
 //    max_rounds budget too. Such algorithms send final-only (see
 //    kEngineCalendar), so their presence map is one sticky buffer.
-//  * Pooled phases are chunked on *word boundaries*: a worker owns every
-//    64-node word it touches, so node-indexed state (including algorithms'
-//    packed boolean state) keeps the plain-store per-node-write discipline
-//    and the deterministic node-order rebuild of v2. Edge-indexed bits
-//    (presence) interleave nodes within one word, so pooled sends set them
-//    via atomic fetch_or — OR of disjoint masks commutes, keeping serial
-//    and parallel executions bit-identical by construction.
-//  * Zero steady-state allocations (pinned by tests/message_engine_test
-//    .cpp), and a *measured* pooling threshold: near-empty frontiers run
-//    inline (see kEnginePoolMinWords below), pinned by tests through
+//  * Pooled phases are chunked on busy-list *entries*, i.e. on word
+//    boundaries: a worker owns every 64-node word it touches, so
+//    node-indexed state (including algorithms' packed boolean state) keeps
+//    the plain-store per-node-write discipline and the deterministic
+//    node-order rebuild of v2. Edge-indexed bits (presence) interleave
+//    nodes within one word, so pooled sends set them via atomic fetch_or —
+//    OR of disjoint masks commutes, keeping serial and parallel executions
+//    bit-identical by construction.
+//  * Zero steady-state allocations on the serial path (pinned at threads
+//    = 1 by tests/message_engine_test.cpp); a pooled phase allocates what
+//    one ThreadPool dispatch does (its join state and a task per chunk).
+//    A *measured* pooling threshold keeps near-empty frontiers inline (see
+//    kEnginePoolMinWords below), pinned by tests through
 //    MessageEngineStats.pooled_phases/serial_phases.
 //
 // Halting contract (the active-set semantics): `done(v)` means v's state
@@ -96,7 +98,6 @@
 //    have kept it). color-reduce is the in-tree example.
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -269,9 +270,10 @@ namespace detail {
 /// tiny-frontier tests via MessageEngineStats.{pooled,serial}_phases.
 inline constexpr std::size_t kEnginePoolMinWords = 48;
 
-/// Chunk grain of pooled word phases: 16 words = 1024 nodes per chunk, the
-/// same scale as v2's node grain. Chunks are whole words by construction,
-/// which is what keeps node-indexed state single-writer (see file comment).
+/// Chunk grain of pooled phases: 16 busy-list entries (busy words, up to
+/// 1024 nodes) per chunk, the same scale as v2's node grain. Chunks are
+/// whole words by construction, which is what keeps node-indexed state
+/// single-writer (see file comment).
 inline constexpr std::size_t kEngineWordGrain = 16;
 
 }  // namespace detail
@@ -325,18 +327,16 @@ int run_message_rounds(const Graph& g, Alg& alg, std::int64_t max_rounds,
     if constexpr (kCalendar) calendar = WakeCalendar(wake);
   }
 
-  // The busy-word list: the ascending words with any active or drain bit.
-  // Serial rounds walk it instead of all num_words words, so a sparse
-  // round costs O(busy words). A serial rebuild compacts it in place and
-  // wakers merge their fresh words in; a pooled rebuild leaves it stale,
-  // and the next serial round rescans the words once.
+  // The busy-word list: the ascending words with any active or drain bit,
+  // the one iteration structure of every phase, so a sparse round costs
+  // O(busy words) serial or pooled. The rebuild compacts it in place and
+  // wakers merge their fresh words in.
   std::vector<std::uint32_t> busy_list(num_words);
   std::vector<std::uint32_t> fresh(kCalendar ? num_words : 0);
   std::size_t busy_words = 0;
   for (std::size_t w = 0; w < num_words; ++w)
     if (active.word(w) != 0)
       busy_list[busy_words++] = static_cast<std::uint32_t>(w);
-  bool list_valid = true;
 
   MessageEngineStats local;
   local.bytes_slab = static_cast<std::int64_t>(slots * sizeof(Packed) +
@@ -361,13 +361,12 @@ int run_message_rounds(const Graph& g, Alg& alg, std::int64_t max_rounds,
           const std::size_t w = v / WordBitset::kWordBits;
           if ((active.word(w) | drain.word(w)) == 0) {
             ++busy_words;
-            if (list_valid)
-              fresh[num_fresh++] = static_cast<std::uint32_t>(w);
+            fresh[num_fresh++] = static_cast<std::uint32_t>(w);
           }
           active.set(v);
           ++active_count;
         });
-        if (list_valid && num_fresh > 0) {
+        if (num_fresh > 0) {
           // Both lists ascend: merge from the back, in place.
           std::size_t i = busy_words - num_fresh, j = num_fresh;
           std::size_t k = busy_words;
@@ -388,34 +387,21 @@ int run_message_rounds(const Graph& g, Alg& alg, std::int64_t max_rounds,
 
     WordBitset& pres = presence.buffer(round);
     const bool pooled = may_pool && busy_words >= detail::kEnginePoolMinWords;
-    if (!pooled && !list_valid) {
-      busy_words = 0;
-      for (std::size_t w = 0; w < num_words; ++w)
-        if ((active.word(w) | drain.word(w)) != 0)
-          busy_list[busy_words++] = static_cast<std::uint32_t>(w);
-      list_valid = true;
-    }
 
-    // Pooled dispatch: chunk(word_begin, word_end) over all words, chunked
-    // on word boundaries. The single captured reference keeps the pool's
-    // std::function in its small-buffer storage — no per-round heap
-    // allocation.
-    const auto run_chunks = [&](const auto& chunk) {
-      ++local.pooled_phases;
-      parallel_for(0, num_words, detail::kEngineWordGrain,
-                   [&chunk](std::size_t b, std::size_t e) { chunk(b, e); });
-    };
     // One phase: body(w) for every busy word, inline over the busy-word
-    // list or through the pool (where body skips the idle words itself).
+    // list or through the pool in chunks of list entries. Entries are
+    // distinct words, so a chunk owns every frontier word it writes.
     const auto run_phase = [&](const auto& body) {
       if (!pooled) {
         ++local.serial_phases;
         for (std::size_t i = 0; i < busy_words; ++i) body(busy_list[i]);
         return;
       }
-      run_chunks([&body](std::size_t b, std::size_t e) {
-        for (std::size_t w = b; w < e; ++w) body(w);
-      });
+      ++local.pooled_phases;
+      parallel_for(0, busy_words, detail::kEngineWordGrain,
+                   [&](std::size_t b, std::size_t e) {
+                     for (std::size_t i = b; i < e; ++i) body(busy_list[i]);
+                   });
     };
 
     // Send phase: active nodes and last round's halters write their own
@@ -517,9 +503,10 @@ int run_message_rounds(const Graph& g, Alg& alg, std::int64_t max_rounds,
 
     // Frontier rebuild, word at a time: nodes that halted this round move
     // from their active word to the same drain word; overwriting the drain
-    // word retires last round's halters. Word order = node order, so the
-    // rebuild is deterministic for any thread count.
-    const auto rebuild_word = [&](std::size_t w) {
+    // word retires last round's halters. Then one serial pass over the list
+    // counts the frontiers and drops the words that went idle, keeping the
+    // list ascending — deterministic for any thread count.
+    run_phase([&](std::size_t w) {
       std::uint64_t keep = 0, halted = 0;
       std::uint64_t bits = active.word(w);
       const std::size_t base = w * WordBitset::kWordBits;
@@ -534,46 +521,17 @@ int run_message_rounds(const Graph& g, Alg& alg, std::int64_t max_rounds,
       }
       active.word(w) = keep;
       drain.word(w) = halted;
-      return std::pair{keep, halted};
-    };
-    if (!pooled) {
-      // Serial: compact the busy-word list in place while rebuilding.
-      ++local.serial_phases;
-      std::size_t a_cnt = 0, d_cnt = 0, len = 0;
-      for (std::size_t i = 0; i < busy_words; ++i) {
-        const std::uint32_t w = busy_list[i];
-        const auto [keep, halted] = rebuild_word(w);
-        a_cnt += static_cast<std::size_t>(std::popcount(keep));
-        d_cnt += static_cast<std::size_t>(std::popcount(halted));
-        if ((keep | halted) != 0) busy_list[len++] = w;
-      }
-      active_count = a_cnt;
-      drain_count = d_cnt;
-      busy_words = len;
-    } else {
-      // Pooled: counts reduce through relaxed atomics (commutative sums);
-      // the busy-word list goes stale.
-      std::atomic<std::size_t> next_active{0};
-      std::atomic<std::size_t> next_drain{0};
-      std::atomic<std::size_t> next_busy{0};
-      run_chunks([&](std::size_t wb, std::size_t we) {
-        std::size_t a_cnt = 0, d_cnt = 0, busy = 0;
-        for (std::size_t w = wb; w < we; ++w) {
-          if ((active.word(w) | drain.word(w)) == 0) continue;
-          const auto [keep, halted] = rebuild_word(w);
-          a_cnt += static_cast<std::size_t>(std::popcount(keep));
-          d_cnt += static_cast<std::size_t>(std::popcount(halted));
-          if ((keep | halted) != 0) ++busy;
-        }
-        next_active.fetch_add(a_cnt, std::memory_order_relaxed);
-        next_drain.fetch_add(d_cnt, std::memory_order_relaxed);
-        next_busy.fetch_add(busy, std::memory_order_relaxed);
-      });
-      active_count = next_active.load(std::memory_order_relaxed);
-      drain_count = next_drain.load(std::memory_order_relaxed);
-      busy_words = next_busy.load(std::memory_order_relaxed);
-      list_valid = false;
+    });
+    active_count = 0;
+    drain_count = 0;
+    std::size_t len = 0;
+    for (std::size_t i = 0; i < busy_words; ++i) {
+      const std::uint32_t w = busy_list[i];
+      active_count += static_cast<std::size_t>(std::popcount(active.word(w)));
+      drain_count += static_cast<std::size_t>(std::popcount(drain.word(w)));
+      if ((active.word(w) | drain.word(w)) != 0) busy_list[len++] = w;
     }
+    busy_words = len;
   }
 
   accumulate_engine_gauges();

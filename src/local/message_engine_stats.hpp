@@ -24,8 +24,8 @@ struct MessageEngineStats {
   std::int64_t bytes_slab = 0;
   std::int64_t bytes_state = 0;
 
-  // Phase-dispatch accounting: how many send/step phases ran through the
-  // thread pool vs inline. The near-empty-frontier heuristic is pinned
+  // Phase-dispatch accounting: how many phases (send, step, sparse clear,
+  // rebuild) ran through the thread pool vs inline. The near-empty-frontier heuristic is pinned
   // through these (tiny frontiers must never pool).
   std::int64_t pooled_phases = 0;
   std::int64_t serial_phases = 0;

@@ -25,8 +25,9 @@
 //  * the wake-up calendar: both calendar layouts pop rounds in order, idle
 //    rounds are skipped but counted, every node steps exactly once, a late
 //    sleeper reads a long-drained neighbor's final message, a wake round
-//    past the budget throws, pooled ≡ serial, and no per-round
-//    allocation.
+//    past the budget throws, pooled ≡ serial (also when pooled rounds
+//    walk a busy-word list far shorter than the word count, between
+//    serial ones), and no per-round allocation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -538,7 +539,7 @@ TEST_F(EngineTest, WakeRoundPastBudgetThrowsAndEngineIsReusable) {
 TEST_F(EngineTest, CalendarSerialEqualsParallelAtPoolingScale) {
   // 4096 nodes: the early rounds wake ~200 nodes over most of the 64
   // frontier words and pool at 4 threads; the sparse late wakers run
-  // serial rounds after pooled ones (the busy-word list is rebuilt then).
+  // serial rounds after pooled ones, on the busy-word list those compacted.
   const Graph g = build::family("regular", 4096, 3, 17);
   std::vector<int> wake(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v)
@@ -563,6 +564,58 @@ TEST_F(EngineTest, CalendarSerialEqualsParallelAtPoolingScale) {
   EXPECT_EQ(s1.pooled_phases, 0);
   EXPECT_GT(s4.pooled_phases, 0);
   EXPECT_GT(s4.serial_phases, 0);
+}
+
+TEST_F(EngineTest, PooledRoundsWalkAShortBusyListAtScale) {
+  // 2^16 nodes = 1,024 frontier words, of which a round keeps at most ~100
+  // busy: pooled rounds walk a list far shorter than the word count, and
+  // every wake round merges fresh words into the list after the rounds
+  // that compacted it, pooled or serial. Chosen word k (a scattered
+  // permutation of the words) holds three wakers; every other node is
+  // done from the start and never joins the frontier.
+  const Graph g = build::family("regular", 65536, 3, 29);
+  const std::size_t words = g.num_nodes() / 64;
+  std::vector<int> wake(g.num_nodes(), 0);
+  const auto wake_word = [&](std::size_t k, int round) {
+    const std::size_t w = (k * 389) % words;
+    for (const std::size_t b : {k * 7 % 64, (k * 7 + 21) % 64,
+                                (k * 7 + 42) % 64})
+      wake[w * 64 + b] = round;
+  };
+  // Rounds 1-5: 50 fresh words wake per round, next to the 50 draining.
+  for (std::size_t k = 0; k < 250; ++k)
+    wake_word(k, 1 + static_cast<int>(k % 5));
+  for (std::size_t k = 250; k < 260; ++k) wake_word(k, 8);    // thin: serial
+  for (std::size_t k = 260; k < 360; ++k) wake_word(k, 12);   // pooled again
+  for (std::size_t k = 360; k < 365; ++k) wake_word(k, 15);   // serial again
+  std::vector<int> expected_steps(g.num_nodes(), -1);
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    if (wake[v] != 0) expected_steps[v] = wake[v];
+
+  const auto run_at = [&](int threads, MessageEngineStats& stats) {
+    exec_context().threads = threads;
+    WakeFold alg(wake);
+    for (NodeId v = 0; v < g.num_nodes(); ++v)
+      if (wake[v] == 0) alg.value[v] = 1;  // done before round 1
+    EXPECT_EQ(run_message_rounds(g, alg, 100, &stats), 15);
+    return alg;
+  };
+  MessageEngineStats s1, s4;
+  const WakeFold serial = run_at(1, s1);
+  const WakeFold parallel = run_at(4, s4);
+  EXPECT_EQ(serial.stepped_in, expected_steps);
+  EXPECT_EQ(serial.value, parallel.value);
+  EXPECT_EQ(serial.stepped_in, parallel.stepped_in);
+  EXPECT_EQ(s1.node_steps, 3 * 365);
+  EXPECT_EQ(s1.node_steps, s4.node_steps);
+  EXPECT_EQ(s1.node_sends, s4.node_sends);
+  // Executed rounds 1-6 and 12-13 pool at 4 threads (50-100 busy words);
+  // rounds 8-9 and 15 run serial (10 and 5; the run ends without round
+  // 15's drain round, as no node is left to read it). Three phases each.
+  EXPECT_EQ(s1.pooled_phases, 0);
+  EXPECT_EQ(s1.serial_phases, 3 * 11);
+  EXPECT_EQ(s4.pooled_phases, 3 * 8);
+  EXPECT_EQ(s4.serial_phases, 3 * 3);
 }
 
 TEST_F(EngineTest, CalendarMakesNoPerRoundAllocation) {
